@@ -29,6 +29,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0: {value}")
+    return value
+
+
+def _nonzero(text: str) -> int:
+    value = int(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError("must be nonzero")
+    return value
+
+
 def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, indent=2) if args.json else _render(payload)
     if getattr(args, "output", None):
@@ -142,9 +156,8 @@ def build_parser() -> _Parser:
         if seeds:
             p.add_argument("--x0", type=int, required=True)
             p.add_argument("--x1", type=int, required=True)
-        p.add_argument("--terms", type=int, default=200)
+        p.add_argument("--terms", type=_non_negative, default=200)
         p.add_argument("--json", action="store_true")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed for MR rounds")
         p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("construct", help="construct and verify a composite-only seed pair")
@@ -160,7 +173,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_triples)
 
     p = sub.add_parser("table", help="audit the embedded small-coefficient table")
-    p.add_argument("--terms", type=int, default=100)
+    p.add_argument("--terms", type=_non_negative, default=100)
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=cmd_table)
@@ -174,8 +187,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("lucas", help="print a Lucas-sequence term")
     p.add_argument("-a", type=int, required=True)
-    p.add_argument("-b", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-b", type=_nonzero, required=True)
+    p.add_argument("-n", type=_non_negative, required=True)
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=cmd_lucas)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import coprime_shift, crt_solve, factorize, is_prime
-from .covering import TripleSet, validate_triples
+from .covering import Rule, TripleSet, validate_triples
 from .lucas import LucasContext
 from .recurrence import RecurrenceParams, SeedPair
 
@@ -54,9 +54,15 @@ class Support:
 
 @dataclass(frozen=True)
 class ConstructionResult:
+    """Seeds plus the divisor rules that make each |x_n| composite.
+
+    Every strategy but the Vsemirnov pair and its reflection states its rules.
+    """
+
     params: RecurrenceParams
     seed: SeedPair
     strategy: str
+    rules: tuple[Rule, ...] = ()
     support: Support | None = None
 
 
@@ -83,10 +89,6 @@ TABLE1: dict[tuple[int, int], tuple[tuple[tuple[int, int, int], ...], int, int]]
         14686445,
     ),
 }
-
-# The paper's 1444-vs-1144 display discrepancy for (a, b) = (9, 1): CRT
-# recomputation fixes z = 1444.  Kept for the regression fixture.
-WORKED_EXAMPLE_Z_VARIANTS_9_1 = (1444, 1144)
 
 
 def closed_form_degenerate(c: int, n: int) -> int:
@@ -183,21 +185,26 @@ def derive_seed_from_triples(
 
 
 def construct(a: int, b: int) -> ConstructionResult:
-    """Produce coprime positive seeds with every |x_n| composite, plus strategy.
+    """Produce coprime positive seeds with every |x_n| composite, plus the
+    strategy and its divisor rules.
 
     Raises NotConstructible for b = 0 and (a, b) = (+-2, -1), where no such
     seeds exist.
     """
     params = RecurrenceParams(a, b)
 
-    def result(x0, x1, strategy, support=None):
-        return ConstructionResult(params, SeedPair(x0, x1), strategy, support)
+    def result(x0, x1, strategy, *rules):
+        return ConstructionResult(
+            params, SeedPair(x0, x1), strategy, tuple(Rule(*r) for r in rules)
+        )
 
     def covering_result(triples, strategy):
         tset = TripleSet.of(triples, a, b)
         assert validate_triples(tset).ok, f"invalid triple set for ({a}, {b})"
         seed, P, y, z = derive_seed_from_triples(params, tset)
-        return ConstructionResult(params, seed, strategy, Support(tset, P, y, z))
+        return ConstructionResult(
+            params, seed, strategy, tset.rules(), Support(tset, P, y, z)
+        )
 
     if b == 0:
         raise NotConstructible("BZero")
@@ -205,19 +212,24 @@ def construct(a: int, b: int) -> ConstructionResult:
         raise NotConstructible("ExcludedPair")
 
     if a == 0:
-        return result(4, 9, A_ZERO)
+        return result(4, 9, A_ZERO, (2, 0, 2), (3, 1, 2))
 
     if a * a + 4 * b == 0 and abs(b) >= 2:
         # a = 2c, b = -c^2; for a < 0 reflect x1 so both seeds stay positive
         # (the reflected sequence has the same |x_n|).
         c = abs(a) // 2
-        return result(4 * c * c - 1, 2 * c**3, DEGENERATE_DISC)
+        spf = factorize(c).primes()[0]
+        return result(
+            4 * c * c - 1, 2 * c**3, DEGENERATE_DISC, (2 * c - 1, 0, 0), (spf, 1, 1)
+        )
 
     if abs(b) >= 2:
+        # x_n for n >= 1 is a multiple of b, hence of its smallest prime.
+        tail = (factorize(abs(b)).primes()[0], 1, 1)
         if abs(a) > abs(b):
-            return result(b**4 - 1, b**4, CASE_I)
+            return result(b**4 - 1, b**4, CASE_I, (b * b - 1, 0, 0), tail)
         if not is_prime(abs(b)):
-            return result(4 * b**4 - 1, 2 * b * b, CASE_II)
+            return result(4 * b**4 - 1, 2 * b * b, CASE_II, (2 * b * b - 1, 0, 0), tail)
         if abs(a) == 1:
             x0 = (2 * b * b - 1) ** 2
             if a == 1 and b > 0:
@@ -228,9 +240,9 @@ def construct(a: int, b: int) -> ConstructionResult:
                 x1 = -b * (b * b + 1)
             else:  # a == -1 and b > 0
                 x1 = b * (b * b + 1)
-            return result(x0, x1, CASE_IIIA)
+            return result(x0, x1, CASE_IIIA, (2 * b * b - 1, 0, 0), tail)
         if abs(a) == abs(b):
-            return result(4 * b**4 - 1, 2 * b * b, CASE_IIIB)
+            return result(4 * b**4 - 1, 2 * b * b, CASE_IIIB, (2 * b * b - 1, 0, 0), tail)
         # 2 <= |a| < |b|, |b| prime
         if a > 0 and b > 0:
             x0, x1 = a**3, b * (b * b - a * a)
@@ -240,13 +252,14 @@ def construct(a: int, b: int) -> ConstructionResult:
             x0, x1 = -(a**3), b * (b * b + a * a)
         else:  # a > 0 and b < 0
             x0, x1 = a**3, -b * (b * b + a * a)
-        return result(x0, x1, CASE_IIIC)
+        return result(x0, x1, CASE_IIIC, (abs(a), 0, 0), tail)
 
     # |b| = 1 from here on.
     if abs(a) >= 2:
         primes = factorize(a).primes()
         if len(primes) >= 2:
-            return result(primes[0] ** 2, primes[1] ** 2, TWO_PRIME_FACTORS)
+            p1, p2 = primes[:2]
+            return result(p1 * p1, p2 * p2, TWO_PRIME_FACTORS, (p1, 0, 2), (p2, 1, 2))
 
     if (a, b) in TABLE1:
         triples, _, _ = TABLE1[(a, b)]
@@ -269,9 +282,9 @@ def construct(a: int, b: int) -> ConstructionResult:
         return covering_result(triples, COVERING_CRT)
 
     if (a, b) == (-1, -1):
-        return result(8, 27, PERIODIC3)
+        return result(8, 27, PERIODIC3, (2, 0, 3), (3, 1, 3), (5, 2, 3))
     if (a, b) == (1, -1):
-        return result(8, 35, PERIODIC6)
+        return result(8, 35, PERIODIC6, (2, 0, 3), (5, 1, 3), (3, 2, 3))
     if (a, b) == (1, 1):
         return result(*VSEMIRNOV_PAIR, VSEMIRNOV)
     if (a, b) == (-1, 1):

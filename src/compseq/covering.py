@@ -19,6 +19,17 @@ from .recurrence import RecurrenceParams
 DEFAULT_MODULI_MENU = (2, 3, 4, 6, 8, 12, 24)
 
 
+class Rule(NamedTuple):
+    """d is a proper divisor of |x_n| for n = start, start + step, ...
+
+    step = 0 means n = start only.  A covering triple (p, m, r) is Rule(p, r, m).
+    """
+
+    d: int
+    start: int
+    step: int
+
+
 @dataclass(frozen=True)
 class CoveringTriple:
     p: int
@@ -46,6 +57,9 @@ class TripleSet:
 
     def classes(self) -> tuple[tuple[int, int], ...]:
         return tuple((t.m, t.r) for t in self.triples)
+
+    def rules(self) -> tuple[Rule, ...]:
+        return tuple(Rule(t.p, t.r, t.m) for t in self.triples)
 
 
 class CoveringCheck(NamedTuple):

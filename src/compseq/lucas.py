@@ -36,10 +36,6 @@ class LucasContext:
         return self._cache[n]
 
 
-def u(ctx: LucasContext, n: int) -> int:
-    return ctx.u(n)
-
-
 def check_divisibility(ctx: LucasContext, m: int, n: int) -> bool:
     """True iff u_m | u_n (when u_m = 0, true iff u_n = 0 as well)."""
     if m < 1 or n < 1:

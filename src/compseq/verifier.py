@@ -1,28 +1,27 @@
 """Independent audit of composite-only constructions.
 
-Given (a, b, x0, x1, N), certifies coprimality and per-term compositeness.
-Certificates prefer the divisor the construction strategy predicts for each
-index (covering prime, |b|, parity prime, ...), then bounded trial
-division, then a Miller-Rabin witness base.
+Given (a, b, x0, x1, N), certifies coprimality and per-term compositeness,
+and runs the divisor-rule audit for every strategy: each index must be
+claimed by one of the construction's rules, and every claimed divisor must
+properly divide its term.  Certificates prefer that divisor, then bounded
+trial division, then a Miller-Rabin witness base.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 from . import constructor as C
 from .arith import (
-    DEFAULT_TRIAL_BOUND,
     Divisor,
     MillerRabinBase,
     NotComposite,
     Witness,
     compositeness_witness,
-    factorize,
+    factorize,  # noqa: F401  unused; bench/test_bench.py expects tracing to patch it here
 )
-from .covering import TripleSet, validate_triples
+from .covering import Rule, TripleSet, validate_triples
 from .recurrence import RecurrenceParams, SeedPair, terms
 
 
@@ -91,75 +90,29 @@ class VerificationReport:
         return d
 
 
-def _witness_from_divisor(term: int, d: int) -> Divisor | None:
-    t = abs(term)
-    if 1 < d < t and t % d == 0:
-        return Divisor(d)
-    return None
+def _rule_audit(
+    rules: tuple[Rule, ...], xs: list[int], failures: list[str]
+) -> list[int | None]:
+    """The divisor-rule law: each index is claimed by some rule, and every
+    claimed d is a proper divisor of |x_n|.
 
-
-def _hint_fn(construction: C.ConstructionResult) -> Callable[[int], list[int]]:
-    """Per-index candidate divisors predicted by the construction strategy."""
-    a, b = construction.params.a, construction.params.b
-    strategy = construction.strategy
-
-    if construction.support is not None:
-        triples = construction.support.triples.triples
-
-        def covering_hints(n: int) -> list[int]:
-            return [t.p for t in triples if n % t.m == t.r]
-
-        return covering_hints
-
-    if strategy == C.A_ZERO:
-        return lambda n: [2] if n % 2 == 0 else [3]
-
-    if strategy == C.DEGENERATE_DISC:
-        c = abs(a) // 2
-        spf = factorize(c).primes()[0]
-        return lambda n: [2 * c - 1, 2 * c + 1] if n == 0 else [spf, c]
-
-    if strategy in (C.CASE_I, C.CASE_II, C.CASE_IIIB):
-        bb = abs(b)
-        spf = factorize(bb).primes()[0]
-        first = [bb * bb - 1] if strategy == C.CASE_I else [2 * b * b - 1]
-        return lambda n: first if n == 0 else [spf, bb]
-
-    if strategy == C.CASE_IIIA:
-        bb = abs(b)
-        return lambda n: [2 * b * b - 1] if n == 0 else [bb]
-
-    if strategy == C.CASE_IIIC:
-        bb, aa = abs(b), abs(a)
-        return lambda n: [aa] if n == 0 else [bb]
-
-    if strategy == C.TWO_PRIME_FACTORS:
-        p1, p2 = factorize(a).primes()[:2]
-        return lambda n: [p1] if n % 2 == 0 else [p2]
-
-    return lambda n: []
-
-
-def _covering_law_audit(
-    tset: TripleSet, xs: list[int], failures: list[str]
-) -> bool:
-    """Each index must be claimed by a triple whose prime divides the term,
-    with |x_n| strictly above every covering prime."""
-    pmax = max(tset.primes())
-    ok = True
-    for n, x in enumerate(xs):
-        claims = [t for t in tset.triples if n % t.m == t.r]
-        if not claims:
-            failures.append(f"index {n} not covered by any triple")
-            ok = False
-            continue
-        if not any(x % t.p == 0 for t in claims):
-            failures.append(f"no claimed prime divides x_{n}")
-            ok = False
-        if abs(x) <= pmax:
-            failures.append(f"|x_{n}| = {abs(x)} not above max covering prime {pmax}")
-            ok = False
-    return ok
+    Returns each index's first claimed proper divisor (None where there is
+    none) for use as its witness.
+    """
+    size = len(xs)
+    divisors: list[int | None] = [None] * size
+    claimed = bytearray(size)
+    for d, start, step in rules:
+        for n in range(start, size, step or size):
+            claimed[n] = 1
+            t = abs(xs[n])
+            if not (1 < d < t and t % d == 0):
+                failures.append(f"claimed {d} is not a proper divisor of x_{n}")
+            elif divisors[n] is None:
+                divisors[n] = d
+    if not all(claimed):
+        failures += [f"index {n} not claimed by any rule" for n in range(size) if not claimed[n]]
+    return divisors
 
 
 def verify(
@@ -167,11 +120,10 @@ def verify(
     seed: SeedPair,
     n_terms: int,
     construction: C.ConstructionResult | None = None,
-    trial_bound: int = DEFAULT_TRIAL_BOUND,
-    covering_audit: bool = True,
 ) -> VerificationReport:
     """Full audit: positivity, coprimality, per-term compositeness certificates,
-    and (when covering support is available) the covering-divisibility law."""
+    and the divisor-rule audit for every strategy whose construction states
+    rules.  A rule's divisor is the preferred certificate for each term."""
     failures: list[str] = []
     coprime_ok = math.gcd(seed.x0, seed.x1) == 1
     if not coprime_ok:
@@ -182,25 +134,20 @@ def verify(
         failures.append("x1 not positive")
 
     xs = terms(params, seed, n_terms)
-    hints = _hint_fn(construction) if construction is not None else (lambda n: [])
+    rules = construction.rules if construction is not None else ()
+    covering_law_ok = None
+    divisors: list[int | None] = [None] * len(xs)
+    if rules:
+        before = len(failures)
+        divisors = _rule_audit(rules, xs, failures)
+        covering_law_ok = len(failures) == before
 
     certificates = []
-    for n, x in enumerate(xs):
-        witness: Witness | None = None
-        for d in hints(n):
-            witness = _witness_from_divisor(x, d)
-            if witness is not None:
-                break
-        if witness is None:
-            witness = compositeness_witness(x, trial_bound=trial_bound)
+    for n, (x, d) in enumerate(zip(xs, divisors)):
+        witness = Divisor(d) if d is not None else compositeness_witness(x)
         if isinstance(witness, NotComposite):
             failures.append(f"|x_{n}| = {abs(x)} is not composite")
         certificates.append(CompositenessCertificate(n, x, witness))
-
-    covering_law_ok = None
-    support = construction.support if construction is not None else None
-    if support is not None and covering_audit:
-        covering_law_ok = _covering_law_audit(support.triples, xs, failures)
 
     return VerificationReport(
         params=params,
@@ -211,7 +158,7 @@ def verify(
         failures=tuple(failures),
         certificates=tuple(certificates),
         strategy=construction.strategy if construction is not None else None,
-        support=support,
+        support=construction.support if construction is not None else None,
         covering_law_ok=covering_law_ok,
     )
 
@@ -265,9 +212,8 @@ def audit_table1(n_terms: int = 100) -> list[Table1RowReport]:
             anomalies.append(f"published pair has x0 = {x0} >= x1 = {x1}")
         report = verify(params, seed, n_terms)
         covering_failures: list[str] = []
-        covering_ok = _covering_law_audit(
-            tset, terms(params, seed, n_terms), covering_failures
-        )
+        xs = [cert.term for cert in report.certificates]
+        _rule_audit(tset.rules(), xs, covering_failures)
         reports.append(
             Table1RowReport(
                 a,
@@ -275,7 +221,7 @@ def audit_table1(n_terms: int = 100) -> list[Table1RowReport]:
                 validation.ok,
                 seed,
                 report,
-                covering_ok,
+                not covering_failures,
                 tuple(covering_failures),
                 tuple(anomalies),
             )

@@ -9,7 +9,7 @@ import time
 
 from compseq import constructor as C
 from compseq.arith import is_perfect_square
-from compseq.lucas import LucasContext, composite_scan, conjecture_scan, u
+from compseq.lucas import LucasContext, composite_scan, conjecture_scan
 from compseq.recurrence import (
     RecurrenceParams,
     SeedPair,
@@ -110,18 +110,18 @@ def test_criterion_5_property_suites():
                 continue
             ctx = LucasContext(RecurrenceParams(a, b))
             for n in range(1, 49):
-                um, un = u(ctx, n), None
+                um, un = ctx.u(n), None
                 for m in range(1, n + 1):
                     if n % m == 0:
-                        um = u(ctx, m)
-                        un = u(ctx, n)
+                        um = ctx.u(m)
+                        un = ctx.u(n)
                         assert (un == 0) if um == 0 else (un % um == 0)
 
     for a in range(-10, 11):
         for b in (-1, 1):
             ctx = LucasContext(RecurrenceParams(a, b))
             for n in range(200):
-                assert math.gcd(u(ctx, n), u(ctx, n + 1)) == 1
+                assert math.gcd(ctx.u(n), ctx.u(n + 1)) == 1
 
     for b in range(-50, 51):
         if abs(b) < 2:

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from compseq.cli import main
 
@@ -61,6 +62,18 @@ class TestOther:
     def test_parse_error_exit_code(self, capsys):
         assert main(["construct", "-a", "notanint", "-b", "1"]) == 3
         assert main(["bogus-subcommand"]) == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "-a", "1", "-b", "1", "--x0", "2", "--x1", "3", "--terms", "-1"],
+            ["construct", "-a", "1", "-b", "1", "--terms", "-1"],
+            ["lucas", "-a", "1", "-b", "0", "-n", "5"],
+            ["lucas", "-a", "1", "-b", "1", "-n", "-1"],
+        ],
+    )
+    def test_out_of_range_argument_exit_code(self, capsys, argv):
+        assert run(capsys, *argv) == (3, "")
 
     def test_table(self, capsys):
         code, out = run(capsys, "table", "--terms", "30", "--json")

@@ -9,7 +9,6 @@ from compseq.lucas import (
     composite_scan,
     conjecture_scan,
     rank_of_apparition,
-    u,
 )
 from compseq.recurrence import RecurrenceParams
 
@@ -22,8 +21,8 @@ class TestTerms:
     def test_initial_values(self):
         for a, b in [(1, 1), (3, -1), (-9, -1), (7, 2)]:
             ctx = ctx_of(a, b)
-            assert u(ctx, 0) == 0
-            assert u(ctx, 1) == 1
+            assert ctx.u(0) == 0
+            assert ctx.u(1) == 1
 
     def test_u4_u6_closed_forms(self):
         for a in range(-10, 11):
@@ -31,11 +30,11 @@ class TestTerms:
                 if b == 0:
                     continue
                 ctx = ctx_of(a, b)
-                assert u(ctx, 4) == a * (a * a + 2 * b)
-                assert u(ctx, 6) == a * (a * a + b) * (a * a + 3 * b)
+                assert ctx.u(4) == a * (a * a + 2 * b)
+                assert ctx.u(6) == a * (a * a + b) * (a * a + 3 * b)
 
     def test_specific_value(self):
-        assert u(ctx_of(3, -1), 8) == 987  # 3 * 7 * 47
+        assert ctx_of(3, -1).u(8) == 987  # 3 * 7 * 47
 
     def test_b_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -43,7 +42,7 @@ class TestTerms:
 
     def test_concurrent_reads_consistent(self):
         ctx = ctx_of(3, -1)
-        expected = [u(ctx_of(3, -1), n) for n in range(300)]
+        expected = [ctx_of(3, -1).u(n) for n in range(300)]
         with ThreadPoolExecutor(8) as pool:
             got = list(pool.map(ctx.u, range(300)))
         assert got == expected
@@ -55,7 +54,7 @@ class TestDivisibility:
 
     def test_a3_bminus1(self):
         ctx = ctx_of(3, -1)
-        assert u(ctx, 4) == 21
+        assert ctx.u(4) == 21
         assert check_divisibility(ctx, 4, 8)
 
     def test_counterexample_when_index_not_divisible(self):
@@ -77,7 +76,7 @@ class TestDivisibility:
             for b in (-1, 1):
                 ctx = ctx_of(a, b)
                 for n in range(200):
-                    assert math.gcd(u(ctx, n), u(ctx, n + 1)) == 1
+                    assert math.gcd(ctx.u(n), ctx.u(n + 1)) == 1
 
 
 class TestRank:
@@ -106,7 +105,7 @@ class TestRank:
                 for p in small_primes(100):
                     rank = rank_of_apparition(ctx, p, bound=300)
                     for n in range(1, 201):
-                        divides = u(ctx, n) % p == 0
+                        divides = ctx.u(n) % p == 0
                         if rank is None:
                             assert not divides
                         else:

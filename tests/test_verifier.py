@@ -1,8 +1,12 @@
+import dataclasses
 import json
 import math
 
+import pytest
+
 from compseq import constructor as C
 from compseq.arith import Divisor, MillerRabinBase, NotComposite, _strong_probable_prime
+from compseq.covering import Rule
 from compseq.recurrence import RecurrenceParams, SeedPair, terms
 from compseq.verifier import audit_table1, verify, verify_construction
 
@@ -77,18 +81,60 @@ class TestVerify:
 
     def test_covering_audit_flags_bad_triples(self):
         r = C.construct(8, 1)
+        tset = C.TripleSet.of([(2, 2, 0), (3, 4, 1)], 8, 1)
         broken = C.ConstructionResult(
             r.params,
             r.seed,
             r.strategy,
-            C.Support(
-                C.TripleSet.of([(2, 2, 0), (3, 4, 1)], 8, 1),
-                r.support.P,
-                r.support.y,
-                r.support.z,
-            ),
+            tset.rules(),
+            C.Support(tset, r.support.P, r.support.y, r.support.z),
         )
         report = verify(r.params, r.seed, 30, construction=broken)
+        assert report.covering_law_ok is False
+        assert not report.verdict
+
+
+# One pair per strategy that states divisor rules.
+STRATEGY_PAIRS = {
+    C.A_ZERO: (0, 7),
+    C.DEGENERATE_DISC: (4, -4),
+    C.CASE_I: (7, 3),
+    C.CASE_II: (2, 4),
+    C.CASE_IIIA: (1, 3),
+    C.CASE_IIIB: (3, 3),
+    C.CASE_IIIC: (2, 5),
+    C.TWO_PRIME_FACTORS: (6, 1),
+    C.COVERING_CRT: (-9, -1),
+    C.TABLE1_STRATEGY: (5, 1),
+    C.PERIODIC3: (-1, -1),
+    C.PERIODIC6: (1, -1),
+}
+
+
+class TestRuleAudit:
+    @pytest.mark.parametrize("strategy", sorted(STRATEGY_PAIRS))
+    def test_rules_certify_every_term(self, strategy):
+        r = C.construct(*STRATEGY_PAIRS[strategy])
+        assert r.strategy == strategy
+        report = verify_construction(r, 200)
+        assert report.covering_law_ok is True
+        divisors = {rule.d for rule in r.rules}
+        for cert in report.certificates:
+            assert isinstance(cert.witness, Divisor), cert
+            assert cert.witness.d in divisors, cert
+
+    @pytest.mark.parametrize(
+        "rules",
+        [
+            ((8, 0, 0), (5, 1, 1)),  # tail divisor 5 instead of 3
+            ((3, 1, 1),),  # index 0 unclaimed
+        ],
+    )
+    def test_broken_rules_fail_the_audit(self, rules):
+        r = C.construct(7, 3)
+        assert r.rules == (Rule(8, 0, 0), Rule(3, 1, 1))
+        broken = dataclasses.replace(r, rules=tuple(Rule(*rule) for rule in rules))
+        report = verify_construction(broken, 50)
         assert report.covering_law_ok is False
         assert not report.verdict
 
