@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 
@@ -35,6 +36,13 @@ DEFAULT_TRIAL_BOUND = 10**6
 DEFAULT_RHO_EFFORT = 10**6
 COPRIME_SHIFT_CAP = 10**6
 
+# is_prime answers n <= SCREEN_BOUND from the sieve and, above it, rejects
+# every n with a prime factor <= SCREEN_BOUND by gcd before Miller-Rabin.
+SCREEN_BOUND = 4096
+# Primes per chunk of the gcd table.  The 564 primes below SCREEN_BOUND are
+# exactly the first four chunks, so the screen needs no partial product.
+CHUNK_PRIMES = 141
+
 
 def _sieve(limit: int) -> list[int]:
     flags = bytearray([1]) * (limit + 1)
@@ -53,6 +61,28 @@ def small_primes(limit: int = DEFAULT_TRIAL_BOUND) -> list[int]:
     if limit not in _small_primes_cache:
         _small_primes_cache[limit] = _sieve(limit)
     return _small_primes_cache[limit]
+
+
+# Chunk k -> product of primes with indices [k * CHUNK_PRIMES, (k + 1) * CHUNK_PRIMES).
+# Every small_primes list is a prefix of the same sequence, so one table
+# serves all of them; chunks are built when a scan first reaches them.
+_chunk_products: dict[int, int] = {}
+
+
+def _prime_chunks(primes: list[int]):
+    """Yield (lo, hi, product of primes[lo:hi]) over consecutive chunks of
+    `primes`, a list from small_primes.  A trailing partial chunk is
+    multiplied out on each visit rather than cached."""
+    for lo in range(0, len(primes), CHUNK_PRIMES):
+        hi = lo + CHUNK_PRIMES
+        if hi > len(primes):
+            yield lo, len(primes), math.prod(primes[lo:])
+            return
+        k = lo // CHUNK_PRIMES
+        product = _chunk_products.get(k)
+        if product is None:
+            product = _chunk_products[k] = math.prod(primes[lo:hi])
+        yield lo, hi, product
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
@@ -77,15 +107,19 @@ def _strong_probable_prime(n: int, base: int) -> bool:
 def is_prime(n: int, rounds: int = DEFAULT_MR_ROUNDS, rng: random.Random | None = None) -> bool:
     """Primality test.
 
-    Deterministic (fixed base set) for n below MR_DETERMINISTIC_BOUND;
-    Miller-Rabin with `rounds` random bases above it.
+    n <= SCREEN_BOUND is looked up in the sieve.  Above it, n is composite
+    when gcd(n, product of the primes <= SCREEN_BOUND) != 1, taken chunk by
+    chunk, so a composite with a small factor costs a few gcds and no
+    modular exponentiation.  Only n that passes this screen reaches
+    Miller-Rabin: deterministic (fixed base set) below MR_DETERMINISTIC_BOUND,
+    `rounds` random bases from `rng` above it.
     """
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
-        if n == p:
-            return True
-        if n % p == 0:
+    screen = small_primes(SCREEN_BOUND)
+    if n <= SCREEN_BOUND:
+        i = bisect_left(screen, n)
+        return i < len(screen) and screen[i] == n
+    for _, _, product in _prime_chunks(screen):
+        if math.gcd(n, product) != 1:
             return False
     if n < MR_DETERMINISTIC_BOUND:
         return all(_strong_probable_prime(n, a) for a in MR_DETERMINISTIC_BASES)
@@ -130,18 +164,26 @@ def compositeness_witness(
 ) -> Witness:
     """Produce a checkable witness that |n| is composite, or NotComposite.
 
-    Tries bounded trial division first (the covering primes in this project
-    are always small), then searches for a Miller-Rabin witness base.
+    Runs is_prime first; a composite |n| then gets Divisor(p) for the
+    smallest prime p <= min(trial_bound, isqrt|n|) dividing it, found by a
+    gcd with each chunk of primes and a prime-by-prime scan only inside the
+    first chunk that shares a factor.  Without such p, it searches for a
+    Miller-Rabin witness base: the fixed bases first, then random ones.
     """
     m = abs(n)
     if m in (0, 1) or is_prime(m, rng=rng):
         return NotComposite()
-    limit = min(trial_bound, math.isqrt(m))
-    for p in small_primes(trial_bound):
-        if p > limit:
+    limit = trial_bound if m >= trial_bound * trial_bound else math.isqrt(m)
+    primes = small_primes(trial_bound)
+    for lo, hi, product in _prime_chunks(primes):
+        if primes[lo] > limit:
             break
-        if m % p == 0:
-            return Divisor(p)
+        g = math.gcd(m, product)
+        if g != 1:
+            p = next(p for p in primes[lo:hi] if g % p == 0)
+            if p <= limit:
+                return Divisor(p)
+            break
     for a in MR_DETERMINISTIC_BASES:
         if not _strong_probable_prime(m, a):
             return MillerRabinBase(a)
@@ -234,12 +276,20 @@ def factorize(
     rng = rng or random.Random(0xFAC70)
     m = abs(n)
     counts: dict[int, int] = {}
-    for p in small_primes(10**5):
-        if p * p > m:
+    primes = small_primes(10**5)
+    for lo, hi, product in _prime_chunks(primes):
+        if primes[lo] ** 2 > m:
             break
-        while m % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            m //= p
+        g = math.gcd(m, product)
+        if g == 1:
+            continue
+        for p in primes[lo:hi]:
+            if p * p > m:
+                break
+            if g % p == 0:
+                while m % p == 0:
+                    counts[p] = counts.get(p, 0) + 1
+                    m //= p
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()

@@ -2,8 +2,10 @@
 
 Subcommands: construct, verify, triples, table, conjecture, lucas.
 Exit codes: 0 success/pass, 1 verification failure, 2 not constructible,
-3 argument errors.  Pass/fail is signalled only through the exit code;
---json emits machine-readable output.
+3 argument errors, 4 output too large (a number in the output has more
+decimal digits than Python converts to text, 4300 by default; ask for
+fewer terms or a smaller index).  Pass/fail is signalled only through the
+exit code; --json emits machine-readable output.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_NOT_CONSTRUCTIBLE = 2
 EXIT_USAGE = 3
+EXIT_TOO_LARGE = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,7 +70,8 @@ def _render(payload: dict, indent: int = 0) -> str:
 
 
 def _int_digits(n: int) -> dict:
-    return {"value": str(n), "digits": len(str(abs(n)))}
+    value, digits = verifier.decimal_digits(n)
+    return {"value": value, "digits": digits}
 
 
 def cmd_construct(args) -> int:
@@ -202,7 +206,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except verifier.OutputTooLarge as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TOO_LARGE
 
 
 if __name__ == "__main__":

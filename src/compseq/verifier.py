@@ -10,6 +10,7 @@ trial division, then a Miller-Rabin witness base.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from . import constructor as C
@@ -23,6 +24,26 @@ from .arith import (
 )
 from .covering import Rule, TripleSet, validate_triples
 from .recurrence import RecurrenceParams, SeedPair, terms
+
+
+class OutputTooLarge(ValueError):
+    """An integer has more decimal digits than Python's int-to-str limit allows."""
+
+
+def decimal_digits(n: int) -> tuple[str, int]:
+    """n in decimal and the number of digits of |n|, from one conversion.
+
+    Raises OutputTooLarge where the interpreter's int-to-str digit limit
+    refuses the conversion.
+    """
+    try:
+        text = str(n)
+    except ValueError:
+        raise OutputTooLarge(
+            f"a {n.bit_length()}-bit integer has more than the "
+            f"{sys.get_int_max_str_digits()} decimal digits Python converts to text"
+        ) from None
+    return text, len(text) - (n < 0)
 
 
 @dataclass(frozen=True)
@@ -53,18 +74,14 @@ class VerificationReport:
         return None
 
     def to_dict(self) -> dict:
-        d = {
-            "params": {"a": self.params.a, "b": self.params.b},
-            "seed": {"x0": str(self.seed.x0), "x1": str(self.seed.x1)},
-            "horizon": self.horizon,
-            "verdict": "pass" if self.verdict else "fail",
-            "coprime_ok": self.coprime_ok,
-            "failures": list(self.failures),
-            "certificates": [
+        certificates = []
+        for cert in self.certificates:
+            term, digits = decimal_digits(cert.term)
+            certificates.append(
                 {
                     "n": cert.index,
-                    "term": str(cert.term),
-                    "term_digits": len(str(abs(cert.term))),
+                    "term": term,
+                    "term_digits": digits,
                     "witness_kind": cert.witness.kind,
                     "witness_value": (
                         cert.witness.d
@@ -74,8 +91,15 @@ class VerificationReport:
                         else None
                     ),
                 }
-                for cert in self.certificates
-            ],
+            )
+        d = {
+            "params": {"a": self.params.a, "b": self.params.b},
+            "seed": {"x0": str(self.seed.x0), "x1": str(self.seed.x1)},
+            "horizon": self.horizon,
+            "verdict": "pass" if self.verdict else "fail",
+            "coprime_ok": self.coprime_ok,
+            "failures": list(self.failures),
+            "certificates": certificates,
             "strategy": self.strategy,
         }
         if self.support is not None:

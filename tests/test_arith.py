@@ -3,10 +3,13 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compseq.arith import (
+    CHUNK_PRIMES,
+    MR_DETERMINISTIC_BASES,
+    SCREEN_BOUND,
     Divisor,
     MillerRabinBase,
     NonCoprimeModuli,
@@ -41,8 +44,26 @@ class TestIsPrime:
         assert is_prime(1103)
 
     def test_agrees_with_trial_division_small(self):
-        for n in range(2000):
+        for n in range(10_000):
             assert is_prime(n) == trial_division_is_prime(n), n
+
+    def test_agrees_with_sympy_at_the_screen_edge(self):
+        below, above = sympy.prevprime(SCREEN_BOUND), sympy.nextprime(SCREEN_BOUND)
+        big = sympy.nextprime(10**30)
+        values = [
+            below * above,
+            above**2,
+            below**2,
+            above,
+            SCREEN_BOUND + 1,
+            above * big,
+            below * big,
+            above * sympy.nextprime(above),
+            sympy.nextprime(10**6) ** 2,
+            big,
+        ]
+        for n in values:
+            assert is_prime(n) == sympy.isprime(n), n
 
     def test_agrees_with_sympy_on_random_64bit(self):
         rng = random.Random(1)
@@ -90,6 +111,49 @@ class TestWitness:
         assert not _strong_probable_prime(p * q, w.base)
 
 
+def plain_loop_witness(n, trial_bound):
+    """compositeness_witness as a plain loop: sympy primality, a `%` by every
+    prime up to min(trial_bound, isqrt|n|), then Miller-Rabin bases."""
+    m = abs(n)
+    if m in (0, 1) or sympy.isprime(m):
+        return NotComposite()
+    limit = min(trial_bound, math.isqrt(m))
+    for p in small_primes(trial_bound):
+        if p > limit:
+            break
+        if m % p == 0:
+            return Divisor(p)
+    for a in MR_DETERMINISTIC_BASES:
+        if not _strong_probable_prime(m, a):
+            return MillerRabinBase(a)
+    rng = random.Random(0xC0FFEE)
+    while True:
+        a = rng.randrange(2, m - 1)
+        if not _strong_probable_prime(m, a):
+            return MillerRabinBase(a)
+
+
+# Primes on either side of a chunk boundary of the gcd table (and of the
+# 128th prime), of the is_prime screen, and of both trial bounds below.
+EDGE_PRIMES = sorted(
+    {sympy.prime(i) for i in (128, 129, CHUNK_PRIMES, CHUNK_PRIMES + 1, 2 * CHUNK_PRIMES, 2 * CHUNK_PRIMES + 1)}
+    | {f(bound) for bound in (SCREEN_BOUND, 10**4, 10**6) for f in (sympy.prevprime, sympy.nextprime)}
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from(EDGE_PRIMES),
+    k=st.integers(min_value=1, max_value=10**40),
+    trial_bound=st.sampled_from((10**4, 10**6)),
+)
+def test_witness_matches_plain_loop_at_chunk_and_bound_edges(p, k, trial_bound):
+    # p * k: p may or may not be the smallest factor; p * nextprime(p): p is
+    # the largest prime <= isqrt(m); p * p: p == isqrt(m).
+    for n in (p * k, -p * k, p * sympy.nextprime(p), p * p):
+        assert compositeness_witness(n, trial_bound=trial_bound) == plain_loop_witness(n, trial_bound), n
+
+
 class TestPerfectSquare:
     def test_examples(self):
         assert is_perfect_square(49)
@@ -133,6 +197,12 @@ class TestFactorize:
         for _ in range(50):
             n = rng.randrange(2, 10**18)
             assert dict(factorize(n).factors) == sympy.factorint(n)
+
+    def test_matches_sympy_below_1e24(self):
+        rng = random.Random(8)
+        for _ in range(20):
+            n = rng.randrange(2, 10**24)
+            assert dict(factorize(n).factors) == sympy.factorint(n), n
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -75,6 +75,20 @@ class TestOther:
     def test_out_of_range_argument_exit_code(self, capsys, argv):
         assert run(capsys, *argv) == (3, "")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "-a", "9", "-b", "1", "--terms", "5000", "--json"],
+            ["lucas", "-a", "9", "-b", "1", "-n", "5000"],
+        ],
+    )
+    def test_output_past_the_digit_limit_exit_code(self, capsys, argv):
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
     def test_table(self, capsys):
         code, out = run(capsys, "table", "--terms", "30", "--json")
         assert code == 0

@@ -4,14 +4,32 @@ import math
 
 import pytest
 
+from compseq import arith
 from compseq import constructor as C
-from compseq.arith import Divisor, MillerRabinBase, NotComposite, _strong_probable_prime
+from compseq.arith import SCREEN_BOUND, Divisor, MillerRabinBase, NotComposite, _strong_probable_prime
 from compseq.covering import Rule
 from compseq.recurrence import RecurrenceParams, SeedPair, terms
 from compseq.verifier import audit_table1, verify, verify_construction
 
 
 class TestVerify:
+    def test_miller_rabin_runs_only_on_terms_past_the_small_prime_screen(self, monkeypatch):
+        # A count, not a timing: one strong test per term that no d in
+        # 2..SCREEN_BOUND divides, and none on terms a small prime divides.
+        calls = []
+
+        def counting(n, base):
+            calls.append(n)
+            return _strong_probable_prime(n, base)
+
+        monkeypatch.setattr(arith, "_strong_probable_prime", counting)
+        params, seed = RecurrenceParams(1, 1), SeedPair(*C.VSEMIRNOV_PAIR)
+        report = verify(params, seed, 300)
+        xs = terms(params, seed, 300)
+        unscreened = [x for x in xs if all(x % d for d in range(2, SCREEN_BOUND + 1))]
+        assert report.verdict
+        assert len(calls) == len(unscreened)
+
     def test_worked_example_with_covering_pattern(self):
         r = C.construct(-9, -1)
         report = verify_construction(r, 100)
