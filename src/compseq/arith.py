@@ -42,6 +42,10 @@ SCREEN_BOUND = 4096
 # Primes per chunk of the gcd table.  The 564 primes below SCREEN_BOUND are
 # exactly the first four chunks, so the screen needs no partial product.
 CHUNK_PRIMES = 141
+SCREEN_CHUNKS = 4
+# Chunks per group past the screen: a witness scan takes one gcd per group
+# there and splits only a group that shares a factor into its chunks.
+GROUP_CHUNKS = 16
 
 
 def _sieve(limit: int) -> list[int]:
@@ -67,22 +71,63 @@ def small_primes(limit: int = DEFAULT_TRIAL_BOUND) -> list[int]:
 # Every small_primes list is a prefix of the same sequence, so one table
 # serves all of them; chunks are built when a scan first reaches them.
 _chunk_products: dict[int, int] = {}
+# (lo, hi) -> product of primes with indices [lo, hi), for each group of
+# chunks past the screen that a witness scan has reached.
+_group_products: dict[tuple[int, int], int] = {}
 
 
-def _prime_chunks(primes: list[int]):
+def _prime_chunks(primes: list[int], start: int = 0, stop: int | None = None):
     """Yield (lo, hi, product of primes[lo:hi]) over consecutive chunks of
-    `primes`, a list from small_primes.  A trailing partial chunk is
-    multiplied out on each visit rather than cached."""
-    for lo in range(0, len(primes), CHUNK_PRIMES):
+    primes[start:stop], for `primes` a list from small_primes and `start` a
+    multiple of CHUNK_PRIMES.  A chunk cut short by `stop` or by the end of
+    the list is multiplied out on each visit rather than cached."""
+    stop = len(primes) if stop is None else min(stop, len(primes))
+    for lo in range(start, stop, CHUNK_PRIMES):
         hi = lo + CHUNK_PRIMES
-        if hi > len(primes):
-            yield lo, len(primes), math.prod(primes[lo:])
+        if hi > stop:
+            yield lo, stop, math.prod(primes[lo:stop])
             return
         k = lo // CHUNK_PRIMES
         product = _chunk_products.get(k)
         if product is None:
             product = _chunk_products[k] = math.prod(primes[lo:hi])
         yield lo, hi, product
+
+
+def _prime_groups(primes: list[int]):
+    """Yield (lo, hi, product of primes[lo:hi]) over `primes`, a list from
+    small_primes: the screen's chunks one by one, then groups of
+    GROUP_CHUNKS chunks, the last one cut short where the list ends.  A
+    group's product is multiplied out of its chunk products the first time
+    a scan reaches it."""
+    screen = SCREEN_CHUNKS * CHUNK_PRIMES
+    yield from _prime_chunks(primes, 0, screen)
+    for lo in range(screen, len(primes), GROUP_CHUNKS * CHUNK_PRIMES):
+        hi = min(lo + GROUP_CHUNKS * CHUNK_PRIMES, len(primes))
+        product = _group_products.get((lo, hi))
+        if product is None:
+            product = _group_products[lo, hi] = math.prod(
+                chunk for _, _, chunk in _prime_chunks(primes, lo, hi)
+            )
+        yield lo, hi, product
+
+
+def _smallest_prime_factor(m: int, primes: list[int], limit: int) -> int | None:
+    """The smallest p in `primes` with p <= limit that divides m, or None.
+
+    One gcd per block of _prime_groups; a block that shares a factor with m
+    is searched chunk by chunk, and the first such chunk prime by prime."""
+    for lo, hi, product in _prime_groups(primes):
+        if primes[lo] > limit:
+            break
+        g = math.gcd(m, product)
+        if g != 1:
+            for lo, hi, chunk in _prime_chunks(primes, lo, hi):
+                h = math.gcd(g, chunk)
+                if h != 1:
+                    p = next(p for p in primes[lo:hi] if h % p == 0)
+                    return p if p <= limit else None
+    return None
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
@@ -164,27 +209,38 @@ def compositeness_witness(
 ) -> Witness:
     """Produce a checkable witness that |n| is composite, or NotComposite.
 
-    Runs is_prime first; a composite |n| then gets Divisor(p) for the
-    smallest prime p <= min(trial_bound, isqrt|n|) dividing it, found by a
-    gcd with each chunk of primes and a prime-by-prime scan only inside the
-    first chunk that shares a factor.  Without such p, it searches for a
-    Miller-Rabin witness base: the fixed bases first, then random ones.
+    A composite |n| gets Divisor(p) for the smallest prime
+    p <= min(trial_bound, isqrt|n|) dividing it, found by one gcd per chunk
+    of the primes <= SCREEN_BOUND and one per group of GROUP_CHUNKS chunks
+    past them, splitting only a block that shares a factor.  Without such
+    p, it gets the first Miller-Rabin witness among the fixed bases 2, 3,
+    5, ..., then among random bases.
+
+    Below MR_DETERMINISTIC_BOUND, is_prime is exact and cheap, so it runs
+    first and a prime gets NotComposite before any scan.  At or above it,
+    the definite certificates come first: the divisor scan, then base 2.
+    Only when base 2 is a liar does the probabilistic is_prime run (a
+    probable prime gets NotComposite), and the search go on from base 3.
+    So `rng` is drawn from only for such n: by is_prime's rounds, then for
+    random witness bases past the fixed ones.  When `rng` is None, each of
+    the two starts its own Random(0xC0FFEE).
     """
     m = abs(n)
-    if m in (0, 1) or is_prime(m, rng=rng):
+    below = m < MR_DETERMINISTIC_BOUND
+    if m in (0, 1) or (below and is_prime(m)):
         return NotComposite()
     limit = trial_bound if m >= trial_bound * trial_bound else math.isqrt(m)
-    primes = small_primes(trial_bound)
-    for lo, hi, product in _prime_chunks(primes):
-        if primes[lo] > limit:
-            break
-        g = math.gcd(m, product)
-        if g != 1:
-            p = next(p for p in primes[lo:hi] if g % p == 0)
-            if p <= limit:
-                return Divisor(p)
-            break
-    for a in MR_DETERMINISTIC_BASES:
+    p = _smallest_prime_factor(m, small_primes(trial_bound), limit)
+    if p is not None:
+        return Divisor(p)
+    bases = MR_DETERMINISTIC_BASES
+    if not below:
+        if not _strong_probable_prime(m, 2):
+            return MillerRabinBase(2)
+        if is_prime(m, rng=rng):
+            return NotComposite()
+        bases = bases[1:]
+    for a in bases:
         if not _strong_probable_prime(m, a):
             return MillerRabinBase(a)
     rng = rng or random.Random(0xC0FFEE)

@@ -116,27 +116,28 @@ class VerificationReport:
 
 def _rule_audit(
     rules: tuple[Rule, ...], xs: list[int], failures: list[str]
-) -> list[int | None]:
+) -> list[Divisor | None]:
     """The divisor-rule law: each index is claimed by some rule, and every
     claimed d is a proper divisor of |x_n|.
 
-    Returns each index's first claimed proper divisor (None where there is
-    none) for use as its witness.
+    Returns each index's witness, Divisor(d) for its first claimed proper
+    divisor (None where there is none); each rule makes one Divisor.
     """
     size = len(xs)
-    divisors: list[int | None] = [None] * size
+    witnesses: list[Divisor | None] = [None] * size
     claimed = bytearray(size)
     for d, start, step in rules:
+        witness = Divisor(d)
         for n in range(start, size, step or size):
             claimed[n] = 1
             t = abs(xs[n])
             if not (1 < d < t and t % d == 0):
                 failures.append(f"claimed {d} is not a proper divisor of x_{n}")
-            elif divisors[n] is None:
-                divisors[n] = d
+            elif witnesses[n] is None:
+                witnesses[n] = witness
     if not all(claimed):
         failures += [f"index {n} not claimed by any rule" for n in range(size) if not claimed[n]]
-    return divisors
+    return witnesses
 
 
 def verify(
@@ -160,15 +161,16 @@ def verify(
     xs = terms(params, seed, n_terms)
     rules = construction.rules if construction is not None else ()
     covering_law_ok = None
-    divisors: list[int | None] = [None] * len(xs)
+    witnesses: list[Divisor | None] = [None] * len(xs)
     if rules:
         before = len(failures)
-        divisors = _rule_audit(rules, xs, failures)
+        witnesses = _rule_audit(rules, xs, failures)
         covering_law_ok = len(failures) == before
 
     certificates = []
-    for n, (x, d) in enumerate(zip(xs, divisors)):
-        witness = Divisor(d) if d is not None else compositeness_witness(x)
+    for n, (x, witness) in enumerate(zip(xs, witnesses)):
+        if witness is None:
+            witness = compositeness_witness(x)
         if isinstance(witness, NotComposite):
             failures.append(f"|x_{n}| = {abs(x)} is not composite")
         certificates.append(CompositenessCertificate(n, x, witness))

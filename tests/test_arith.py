@@ -8,8 +8,12 @@ from hypothesis import strategies as st
 
 from compseq.arith import (
     CHUNK_PRIMES,
+    DEFAULT_TRIAL_BOUND,
+    GROUP_CHUNKS,
     MR_DETERMINISTIC_BASES,
+    MR_DETERMINISTIC_BOUND,
     SCREEN_BOUND,
+    SCREEN_CHUNKS,
     Divisor,
     MillerRabinBase,
     NonCoprimeModuli,
@@ -110,6 +114,22 @@ class TestWitness:
         assert isinstance(w, MillerRabinBase)
         assert not _strong_probable_prime(p * q, w.base)
 
+    def test_base_2_pseudoprime_above_the_bound(self):
+        # 1287836183341 * 2575672366681: a strong pseudoprime to base 2 just
+        # above the bound, with no prime factor <= 10**6.
+        n = 3317044070243339695661221
+        assert n >= MR_DETERMINISTIC_BOUND and _strong_probable_prime(n, 2)
+        for m in (n, -n):
+            assert compositeness_witness(m) == MillerRabinBase(3) == plain_loop_witness(m, DEFAULT_TRIAL_BOUND)
+
+    def test_prime_above_the_bound(self):
+        assert compositeness_witness(2**89 - 1) == NotComposite() == plain_loop_witness(2**89 - 1, DEFAULT_TRIAL_BOUND)
+
+    def test_trial_bound_decides_between_divisor_and_base_2(self):
+        n = 1000003 * (2**89 - 1)
+        for trial_bound, expected in ((DEFAULT_TRIAL_BOUND, MillerRabinBase(2)), (2 * 10**6, Divisor(1000003))):
+            assert compositeness_witness(n, trial_bound=trial_bound) == expected == plain_loop_witness(n, trial_bound)
+
 
 def plain_loop_witness(n, trial_bound):
     """compositeness_witness as a plain loop: sympy primality, a `%` by every
@@ -134,23 +154,31 @@ def plain_loop_witness(n, trial_bound):
 
 
 # Primes on either side of a chunk boundary of the gcd table (and of the
-# 128th prime), of the is_prime screen, and of both trial bounds below.
+# 128th prime), of the is_prime screen, and of both trial bounds below; and
+# of the first, second and last group of chunks the scan to 10**6 takes.
+SCREEN_PRIMES, GROUP_PRIMES = SCREEN_CHUNKS * CHUNK_PRIMES, GROUP_CHUNKS * CHUNK_PRIMES
+GROUP_STARTS = [SCREEN_PRIMES + j * GROUP_PRIMES for j in (0, 1, (sympy.primepi(10**6) - SCREEN_PRIMES) // GROUP_PRIMES)]
 EDGE_PRIMES = sorted(
     {sympy.prime(i) for i in (128, 129, CHUNK_PRIMES, CHUNK_PRIMES + 1, 2 * CHUNK_PRIMES, 2 * CHUNK_PRIMES + 1)}
+    | {sympy.prime(i) for lo in GROUP_STARTS for i in (lo, lo + 1)}
     | {f(bound) for bound in (SCREEN_BOUND, 10**4, 10**6) for f in (sympy.prevprime, sympy.nextprime)}
 )
+# Cofactors that lift p * q above MR_DETERMINISTIC_BOUND for every p.
+LARGE_PRIMES = (sympy.nextprime(MR_DETERMINISTIC_BOUND), 2**89 - 1, sympy.nextprime(10**30))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     p=st.sampled_from(EDGE_PRIMES),
     k=st.integers(min_value=1, max_value=10**40),
+    q=st.sampled_from(LARGE_PRIMES),
     trial_bound=st.sampled_from((10**4, 10**6)),
 )
-def test_witness_matches_plain_loop_at_chunk_and_bound_edges(p, k, trial_bound):
+def test_witness_matches_plain_loop_at_chunk_and_bound_edges(p, k, q, trial_bound):
     # p * k: p may or may not be the smallest factor; p * nextprime(p): p is
-    # the largest prime <= isqrt(m); p * p: p == isqrt(m).
-    for n in (p * k, -p * k, p * sympy.nextprime(p), p * p):
+    # the largest prime <= isqrt(m); p * p: p == isqrt(m); p * q and p * q * k:
+    # above the bound, where the scan runs before any Miller-Rabin round.
+    for n in (p * k, -p * k, p * sympy.nextprime(p), p * p, p * q, -p * q * k):
         assert compositeness_witness(n, trial_bound=trial_bound) == plain_loop_witness(n, trial_bound), n
 
 

@@ -6,7 +6,15 @@ import pytest
 
 from compseq import arith
 from compseq import constructor as C
-from compseq.arith import SCREEN_BOUND, Divisor, MillerRabinBase, NotComposite, _strong_probable_prime
+from compseq.arith import (
+    MR_DETERMINISTIC_BOUND,
+    SCREEN_BOUND,
+    Divisor,
+    MillerRabinBase,
+    NotComposite,
+    _strong_probable_prime,
+    small_primes,
+)
 from compseq.covering import Rule
 from compseq.recurrence import RecurrenceParams, SeedPair, terms
 from compseq.verifier import audit_table1, verify, verify_construction
@@ -29,6 +37,24 @@ class TestVerify:
         unscreened = [x for x in xs if all(x % d for d in range(2, SCREEN_BOUND + 1))]
         assert report.verdict
         assert len(calls) == len(unscreened)
+
+    def test_miller_rabin_above_the_bound_runs_only_past_trial_division(self, monkeypatch):
+        # A count, not a timing: above MR_DETERMINISTIC_BOUND one strong test
+        # (base 2) per term that no prime <= 10**6 divides, and none on terms
+        # that trial division certifies.
+        params, seed = RecurrenceParams(1174571, 1), C.construct(1174571, 1).seed
+        calls = []
+
+        def counting(n, base):
+            calls.append(n)
+            return _strong_probable_prime(n, base)
+
+        monkeypatch.setattr(arith, "_strong_probable_prime", counting)
+        report = verify(params, seed, 102)
+        small = math.prod(small_primes(10**6))
+        big = [abs(x) for x in terms(params, seed, 102) if abs(x) >= MR_DETERMINISTIC_BOUND]
+        assert report.verdict
+        assert sum(n >= MR_DETERMINISTIC_BOUND for n in calls) == sum(math.gcd(x, small) == 1 for x in big)
 
     def test_worked_example_with_covering_pattern(self):
         r = C.construct(-9, -1)
