@@ -183,8 +183,8 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("conjecture", help="scan gcd(u_p, u_q) at prime indices, b = -1")
-    p.add_argument("--a-max", type=int, default=10)
-    p.add_argument("--p-max", type=int, default=31)
+    p.add_argument("--a-max", type=_non_negative, default=10)
+    p.add_argument("--p-max", type=_non_negative, default=31)
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=cmd_conjecture)

@@ -23,11 +23,29 @@ from .arith import (
     factorize,  # noqa: F401  unused; bench/test_bench.py expects tracing to patch it here
 )
 from .covering import Rule, TripleSet, validate_triples
-from .recurrence import RecurrenceParams, SeedPair, terms
+from .recurrence import RecurrenceParams, SeedPair, decimal_texts, iter_terms, terms
+
+# Reports whose largest term has at least this many bits take their term
+# texts from `decimal_texts`; below it str() is faster (measured crossover:
+# about 2000 bits, for 60 to 3000 terms).
+DECIMAL_TEXT_BITS = 2048
 
 
 class OutputTooLarge(ValueError):
     """An integer has more decimal digits than Python's int-to-str limit allows."""
+
+
+def _int_max_str_digits() -> int:
+    """Python's int-to-str digit limit; 0 means none (as before 3.10.7)."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get is not None else 0
+
+
+def _too_large(n: int) -> OutputTooLarge:
+    return OutputTooLarge(
+        f"a {n.bit_length()}-bit integer has more than the "
+        f"{_int_max_str_digits()} decimal digits Python converts to text"
+    )
 
 
 def decimal_digits(n: int) -> tuple[str, int]:
@@ -39,10 +57,7 @@ def decimal_digits(n: int) -> tuple[str, int]:
     try:
         text = str(n)
     except ValueError:
-        raise OutputTooLarge(
-            f"a {n.bit_length()}-bit integer has more than the "
-            f"{sys.get_int_max_str_digits()} decimal digits Python converts to text"
-        ) from None
+        raise _too_large(n) from None
     return text, len(text) - (n < 0)
 
 
@@ -73,10 +88,36 @@ class VerificationReport:
                 return cert.index
         return None
 
+    def _term_texts(self) -> list[tuple[str, int]]:
+        """Each certificate's term in decimal with its digit count; see to_dict."""
+        certs = self.certificates
+        long_terms = any(c.term.bit_length() >= DECIMAL_TEXT_BITS for c in reversed(certs))
+        run = zip(certs, iter_terms(self.params, self.seed))
+        if not (long_terms and all(c.index == n and c.term == x for n, (c, x) in enumerate(run))):
+            return [decimal_digits(cert.term) for cert in certs]
+        limit = _int_max_str_digits()
+        texts = []
+        for cert, text in zip(certs, decimal_texts(self.params, self.seed, len(certs) - 1)):
+            digits = len(text) - (cert.term < 0)
+            if limit and digits > limit:
+                raise _too_large(cert.term)
+            texts.append((text, digits))
+        return texts
+
     def to_dict(self) -> dict:
+        """The report as JSON-ready data; terms and seeds are decimal strings.
+
+        When the certificates are x_0..x_N of (params, seed), as `verify`
+        makes them, and some term has at least DECIMAL_TEXT_BITS bits, the
+        term texts come from `recurrence.decimal_texts`, the recurrence run
+        in base 10, in time linear in each term's length (str(int) is
+        quadratic); a term with more digits than Python's int-to-str limit
+        still raises the OutputTooLarge that str() would.  Shorter terms,
+        and any other certificates, as in a hand-built or edited report,
+        print each term's own text by `decimal_digits`.
+        """
         certificates = []
-        for cert in self.certificates:
-            term, digits = decimal_digits(cert.term)
+        for cert, (term, digits) in zip(self.certificates, self._term_texts()):
             certificates.append(
                 {
                     "n": cert.index,

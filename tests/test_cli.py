@@ -70,6 +70,8 @@ class TestOther:
             ["construct", "-a", "1", "-b", "1", "--terms", "-1"],
             ["lucas", "-a", "1", "-b", "0", "-n", "5"],
             ["lucas", "-a", "1", "-b", "1", "-n", "-1"],
+            ["conjecture", "--a-max", "4", "--p-max", "-3"],
+            ["conjecture", "--a-max", "-1"],
         ],
     )
     def test_out_of_range_argument_exit_code(self, capsys, argv):

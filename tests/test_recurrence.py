@@ -8,11 +8,29 @@ from hypothesis import strategies as st
 from compseq.recurrence import (
     RecurrenceParams,
     SeedPair,
+    decimal_texts,
     is_strictly_growing,
     iter_terms,
     lemma1_residual,
     terms,
 )
+
+
+@given(
+    st.integers(-10**12, 10**12),
+    st.integers(-9, 9),
+    st.integers(-10**30, 10**30),
+    st.integers(-10**30, 10**30),
+    st.integers(0, 40),
+)
+def test_decimal_texts_equal_str_of_terms(a, b, x0, x1, n):
+    params, seed = RecurrenceParams(a, b), SeedPair(x0, x1)
+    assert decimal_texts(params, seed, n) == [str(x) for x in terms(params, seed, n)]
+
+
+def test_decimal_texts_reject_negative_n():
+    with pytest.raises(ValueError):
+        decimal_texts(RecurrenceParams(1, 1), SeedPair(0, 1), -1)
 
 
 def test_fibonacci():

@@ -1,10 +1,13 @@
 import dataclasses
 import json
 import math
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from compseq import arith
+from compseq import arith, verifier
 from compseq import constructor as C
 from compseq.arith import (
     MR_DETERMINISTIC_BOUND,
@@ -16,8 +19,16 @@ from compseq.arith import (
     small_primes,
 )
 from compseq.covering import Rule
-from compseq.recurrence import RecurrenceParams, SeedPair, terms
-from compseq.verifier import audit_table1, verify, verify_construction
+from compseq.recurrence import RecurrenceParams, SeedPair, decimal_texts, terms
+from compseq.verifier import (
+    CompositenessCertificate,
+    OutputTooLarge,
+    VerificationReport,
+    audit_table1,
+    decimal_digits,
+    verify,
+    verify_construction,
+)
 
 
 class TestVerify:
@@ -200,6 +211,146 @@ class TestReportSerialization:
         d = report.to_dict()
         for key in ("params", "seed", "horizon", "verdict", "failures", "certificates"):
             assert key in d
+
+
+def hand_built(params, seed, xs):
+    """A report on the given terms, as a caller outside `verify` may build one."""
+    certs = tuple(CompositenessCertificate(n, x, NotComposite()) for n, x in enumerate(xs))
+    return VerificationReport(params, seed, len(xs) - 1, False, True, (), certs)
+
+
+def assert_texts_match_str(report):
+    """Every term text and digit count equals the one-str() reference, both
+    where the report's term size picks the path and with the base-10 run
+    forced for terms of any size."""
+    want = [decimal_digits(cert.term) for cert in report.certificates]
+    for bits in (verifier.DECIMAL_TEXT_BITS, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verifier, "DECIMAL_TEXT_BITS", bits)
+            got = [(c["term"], c["term_digits"]) for c in report.to_dict()["certificates"]]
+        assert got == want
+
+
+class TestTermTexts:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(-12, 12),
+        st.integers(-12, 12),
+        st.integers(-10**6, 10**6),
+        st.integers(-10**6, 10**6),
+        st.integers(0, 60),
+    )
+    def test_recurrence_texts_match_str(self, a, b, x0, x1, n):
+        params, seed = RecurrenceParams(a, b), SeedPair(x0, x1)
+        assert_texts_match_str(hand_built(params, seed, terms(params, seed, n)))
+
+    @pytest.mark.parametrize("a", [999999999989, -999999999989])
+    @pytest.mark.parametrize("b", [1, -1])
+    def test_large_covering_construction(self, a, b):
+        report = verify_construction(C.construct(a, b), 200)
+        assert report.verdict
+        assert max(abs(c.term) for c in report.certificates).bit_length() > 7900
+        assert_texts_match_str(report)
+
+    @pytest.mark.parametrize("a, b, x0, x1", [(-1, -1, 0, 0), (0, -1, 0, -3), (3, -9, 0, 0)])
+    def test_zero_terms_print_without_a_sign(self, a, b, x0, x1):
+        report = verify(RecurrenceParams(a, b), SeedPair(x0, x1), 12)
+        assert "-0" not in [c["term"] for c in report.to_dict()["certificates"]]
+        assert_texts_match_str(report)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_shortest_horizons(self, n):
+        report = verify(RecurrenceParams(7, 3), SeedPair(-20, 21), n)
+        assert len(report.certificates) == n + 1
+        assert_texts_match_str(report)
+
+    @pytest.mark.parametrize("at", [0, 1, 2, 30])
+    def test_tampered_term_prints_its_own_text(self, at):
+        report = verify_construction(C.construct(-9, -1), 40)
+        certs = list(report.certificates)
+        certs[at] = dataclasses.replace(certs[at], term=-(certs[at].term + 1))
+        tampered = dataclasses.replace(report, certificates=tuple(certs))
+        assert tampered.to_dict()["certificates"][at]["term"] == str(certs[at].term)
+        assert_texts_match_str(tampered)
+
+    def test_base_10_run_only_for_long_terms(self, monkeypatch):
+        runs = []
+
+        def counting(*args):
+            runs.append(args)
+            return decimal_texts(*args)
+
+        monkeypatch.setattr(verifier, "decimal_texts", counting)
+        for a, n in [(7, 200), (1174571, 60), (1174571, 200)]:
+            report = verify_construction(C.construct(a, 1), n)
+            report.to_dict()
+            longest = max(abs(c.term) for c in report.certificates).bit_length()
+            assert len(runs) == (longest >= verifier.DECIMAL_TEXT_BITS), (a, n)
+            runs.clear()
+
+    def test_reordered_certificates_print_their_own_terms(self):
+        report = verify_construction(C.construct(5, 1), 20)
+        swapped = dataclasses.replace(report, certificates=report.certificates[::-1])
+        assert_texts_match_str(swapped)
+        assert_texts_match_str(dataclasses.replace(report, certificates=()))
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="Python has no int-to-str digit limit"
+)
+
+
+@needs_digit_limit
+class TestDigitLimit:
+    @staticmethod
+    def report_on(x2):
+        """A report whose x_2 is x2 and whose seeds have at most as many digits."""
+        sign = 1 if x2 > 0 else -1
+        return verify(RecurrenceParams(1, 1), SeedPair(x2 - sign, sign), 2)
+
+    @pytest.mark.parametrize("limit", [None, 700])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_limit_digits_print_and_one_more_raises(self, limit, sign):
+        saved = sys.get_int_max_str_digits()
+        try:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+            limit = sys.get_int_max_str_digits()
+            at_limit = sign * (10**limit - 1)
+            cert = self.report_on(at_limit).to_dict()["certificates"][2]
+            assert cert["term_digits"] == limit
+            assert cert["term"] == str(at_limit)
+
+            past = sign * 10**limit
+            with pytest.raises(OutputTooLarge) as reference:
+                decimal_digits(past)
+            with pytest.raises(OutputTooLarge) as raised:
+                self.report_on(past).to_dict()
+            assert str(raised.value) == str(reference.value) == (
+                f"a {past.bit_length()}-bit integer has more than the "
+                f"{limit} decimal digits Python converts to text"
+            )
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_no_limit_never_raises(self, sign):
+        saved = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            past = sign * 10**saved
+            cert = self.report_on(past).to_dict()["certificates"][2]
+            assert (cert["term"], cert["term_digits"]) == (str(past), saved + 1)
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+
+def test_interpreters_without_the_digit_limit_print_every_term(monkeypatch):
+    # Python 3.10.0-3.10.6 have neither the limit nor sys.get_int_max_str_digits.
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    report = verify(RecurrenceParams(10**2500, 1), SeedPair(1, 10**2500), 2)
+    cert = report.to_dict()["certificates"][2]
+    assert cert["term_digits"] == 5001 and cert["term"] == "1" + "0" * 4999 + "1"
 
 
 class TestAuditTable1:
