@@ -6,7 +6,6 @@ construction with per-term compositeness certificates.
 """
 
 from .arith import (
-    CongruenceSystem,
     Divisor,
     EffortExceeded,
     MillerRabinBase,
@@ -29,15 +28,13 @@ from .constructor import (
     construct,
     derive_seed_from_triples,
 )
-from .covering import CoveringTriple, TripleSet, is_covering, search_triples, validate_triples
+from .covering import Rule, is_covering, search_triples, validate_triples
 from .lucas import LucasContext, composite_scan, conjecture_scan, rank_of_apparition
 from .recurrence import RecurrenceParams, SeedPair, iter_terms, terms
 from .verifier import VerificationReport, audit_table1, verify, verify_construction
 
 __all__ = [
-    "CongruenceSystem",
     "ConstructionResult",
-    "CoveringTriple",
     "Divisor",
     "EffortExceeded",
     "LucasContext",
@@ -47,10 +44,10 @@ __all__ = [
     "NotConstructible",
     "PrimeFactorization",
     "RecurrenceParams",
+    "Rule",
     "SearchExhausted",
     "SeedPair",
     "Support",
-    "TripleSet",
     "VerificationReport",
     "audit_table1",
     "composite_scan",

@@ -359,38 +359,18 @@ def factorize(
     return PrimeFactorization(n, tuple(sorted(counts.items())))
 
 
-@dataclass(frozen=True)
-class CongruenceSystem:
-    """x = residue (mod modulus) for each equation; moduli pairwise coprime."""
-
-    equations: tuple[tuple[int, int], ...]
-
-    @staticmethod
-    def of(equations) -> "CongruenceSystem":
-        normalized = []
-        for r, m in equations:
-            if m < 1:
-                raise ValueError(f"modulus {m} < 1")
-            normalized.append((r % m, m))
-        return CongruenceSystem(tuple(normalized))
-
-
-def crt_solve(system: CongruenceSystem | list[tuple[int, int]]) -> tuple[int, int]:
-    """Solve the system; returns (solution, modulus) with 0 <= solution < modulus."""
-    if not isinstance(system, CongruenceSystem):
-        system = CongruenceSystem.of(system)
+def crt_solve(system: list[tuple[int, int]]) -> tuple[int, int]:
+    """Solve x = r (mod m) for each pair (r, m); the moduli must be >= 1 and
+    pairwise coprime.  Returns (solution, modulus) with 0 <= solution < modulus."""
     x, mod = 0, 1
-    for r, m in system.equations:
-        r %= m
+    for r, m in system:
+        if m < 1:
+            raise ValueError(f"modulus {m} < 1")
         g = math.gcd(mod, m)
         if g != 1:
-            if (r - x) % g != 0:
-                raise NonCoprimeModuli(f"moduli {mod} and {m} share factor {g}")
-            raise NonCoprimeModuli(f"moduli not pairwise coprime (gcd {g})")
-        inv = pow(mod, -1, m)
-        x = x + mod * ((r - x) * inv % m)
+            raise NonCoprimeModuli(f"moduli {mod} and {m} share factor {g}")
+        x += mod * ((r - x) * pow(mod, -1, m) % m)
         mod *= m
-        x %= mod
     return x, mod
 
 

@@ -11,6 +11,7 @@ exit code; --json emits machine-readable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -102,17 +103,14 @@ def cmd_verify(args) -> int:
 def cmd_triples(args) -> int:
     params = RecurrenceParams(args.a, args.b)
     try:
-        tset = covering.search_triples(params)
+        rules = covering.search_triples(params)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if tset is None:
+    if rules is None:
         _emit({"found": False}, args)
         return EXIT_FAIL
-    payload = {
-        "found": True,
-        "triples": [{"p": t.p, "m": t.m, "r": t.r} for t in tset.triples],
-    }
+    payload = {"found": True, "triples": [{"p": p, "m": m, "r": r} for p, r, m in rules]}
     _emit(payload, args)
     return EXIT_PASS
 
@@ -150,7 +148,9 @@ def cmd_lucas(args) -> int:
     return EXIT_PASS
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI parser, built once per process (parsing leaves it unchanged)."""
     parser = _Parser(prog="compseq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import coprime_shift, crt_solve, factorize, is_prime
-from .covering import Rule, TripleSet, validate_triples
+from .covering import Rule, validate_triples
 from .lucas import LucasContext
 from .recurrence import RecurrenceParams, SeedPair
 
@@ -44,9 +44,9 @@ class NotConstructible(ValueError):
 
 @dataclass(frozen=True)
 class Support:
-    """CRT audit trail for covering-based constructions."""
+    """CRT audit trail of a covering construction: P is the product of the
+    covering primes, and x0 = y, x1 = z (mod P)."""
 
-    triples: TripleSet
     P: int
     y: int
     z: int
@@ -56,7 +56,9 @@ class Support:
 class ConstructionResult:
     """Seeds plus the divisor rules that make each |x_n| composite.
 
-    Every strategy but the Vsemirnov pair and its reflection states its rules.
+    Every strategy but the Vsemirnov pair and its reflection states its rules;
+    for a covering construction they are its triples (p, m, r) as Rule(p, r, m),
+    and `support` holds the CRT values.
     """
 
     params: RecurrenceParams
@@ -66,28 +68,30 @@ class ConstructionResult:
     support: Support | None = None
 
 
-# (a, b) -> (triples, paper x0, paper x1).  The (3, -1) row's paper pair has
+# Covering triples (p, m, r) of Table 1 as Rule(p, r, m); rows (a, b) and
+# (-a, b) share them.
+_T5 = (Rule(5, 0, 2), Rule(2, 1, 6), Rule(7, 3, 6), Rule(13, 5, 6))
+_T4 = (Rule(2, 0, 2), Rule(3, 1, 4), Rule(7, 3, 8), Rule(23, 7, 8))
+_T3 = (Rule(3, 0, 2), Rule(11, 1, 4), Rule(7, 3, 8), Rule(17, 7, 8))
+_T2 = (Rule(2, 0, 2), Rule(5, 0, 3), Rule(3, 1, 4), Rule(7, 5, 6), Rule(11, 7, 12))
+_T3M = (
+    Rule(3, 0, 2), Rule(2, 0, 3), Rule(7, 3, 4), Rule(47, 5, 8), Rule(23, 5, 12), Rule(1103, 1, 24)
+)
+
+# (a, b) -> (rules, paper x0, paper x1).  The (3, -1) row's paper pair has
 # x0 > x1, contradicting the ordering the growth argument needs; audit_table1
 # records the anomaly.
-TABLE1: dict[tuple[int, int], tuple[tuple[tuple[int, int, int], ...], int, int]] = {
-    (5, 1): (((5, 2, 0), (2, 6, 1), (7, 6, 3), (13, 6, 5)), 495, 1136),
-    (-5, 1): (((5, 2, 0), (2, 6, 1), (7, 6, 3), (13, 6, 5)), 495, 866),
-    (4, 1): (((2, 2, 0), (3, 4, 1), (7, 8, 3), (23, 8, 7)), 116, 165),
-    (-4, 1): (((2, 2, 0), (3, 4, 1), (7, 8, 3), (23, 8, 7)), 116, 801),
-    (3, 1): (((3, 2, 0), (11, 4, 1), (7, 8, 3), (17, 8, 7)), 1803, 3454),
-    (-3, 1): (((3, 2, 0), (11, 4, 1), (7, 8, 3), (17, 8, 7)), 1803, 3091),
-    (2, 1): (((2, 2, 0), (5, 3, 0), (3, 4, 1), (7, 6, 5), (11, 12, 7)), 260, 807),
-    (-2, 1): (((2, 2, 0), (5, 3, 0), (3, 4, 1), (7, 6, 5), (11, 12, 7)), 260, 1503),
-    (3, -1): (
-        ((3, 2, 0), (2, 3, 0), (7, 4, 3), (47, 8, 5), (23, 12, 5), (1103, 24, 1)),
-        7373556,
-        2006357,
-    ),
-    (-3, -1): (
-        ((3, 2, 0), (2, 3, 0), (7, 4, 3), (47, 8, 5), (23, 12, 5), (1103, 24, 1)),
-        7373556,
-        14686445,
-    ),
+TABLE1: dict[tuple[int, int], tuple[tuple[Rule, ...], int, int]] = {
+    (5, 1): (_T5, 495, 1136),
+    (-5, 1): (_T5, 495, 866),
+    (4, 1): (_T4, 116, 165),
+    (-4, 1): (_T4, 116, 801),
+    (3, 1): (_T3, 1803, 3454),
+    (-3, 1): (_T3, 1803, 3091),
+    (2, 1): (_T2, 260, 807),
+    (-2, 1): (_T2, 260, 1503),
+    (3, -1): (_T3M, 7373556, 2006357),
+    (-3, -1): (_T3M, 7373556, 14686445),
 }
 
 
@@ -164,21 +168,19 @@ def pick_primes_bplus1(a: int) -> tuple[int, ...]:
 
 
 def derive_seed_from_triples(
-    params: RecurrenceParams, tset: TripleSet
+    params: RecurrenceParams, rules: tuple[Rule, ...]
 ) -> tuple[SeedPair, int, int, int]:
-    """Seeds from a valid triple set via CRT on y = u_{m-r}, z = u_{m-r+1} (mod p).
+    """Seeds from valid covering triples Rule(p, r, m) via CRT on
+    y = u_{m-r}, z = u_{m-r+1} (mod p).
 
     x0 is y (or y + P when y is too small to dominate the covering primes);
     x1 is z + k*P for the least k making the pair coprime with x1 > x0.
     Returns (seed, P, y, z) for audit.
     """
     ctx = LucasContext(params)
-    y_sys = [(ctx.u(t.m - t.r) % t.p, t.p) for t in tset.triples]
-    z_sys = [(ctx.u(t.m - t.r + 1) % t.p, t.p) for t in tset.triples]
-    y, P = crt_solve(y_sys)
-    z, P2 = crt_solve(z_sys)
-    assert P == P2
-    x0 = y if (y > max(tset.primes()) and y >= 2) else y + P
+    y, P = crt_solve([(ctx.u(m - r) % p, p) for p, r, m in rules])
+    z, _ = crt_solve([(ctx.u(m - r + 1) % p, p) for p, r, m in rules])
+    x0 = y if (y > max(p for p, _, _ in rules) and y >= 2) else y + P
     k = coprime_shift(x0, z, P, require_greater=True)
     x1 = z + k * P
     return SeedPair(x0, x1), P, y, z
@@ -198,13 +200,10 @@ def construct(a: int, b: int) -> ConstructionResult:
             params, SeedPair(x0, x1), strategy, tuple(Rule(*r) for r in rules)
         )
 
-    def covering_result(triples, strategy):
-        tset = TripleSet.of(triples, a, b)
-        assert validate_triples(tset).ok, f"invalid triple set for ({a}, {b})"
-        seed, P, y, z = derive_seed_from_triples(params, tset)
-        return ConstructionResult(
-            params, seed, strategy, tset.rules(), Support(tset, P, y, z)
-        )
+    def covering_result(rules, strategy):
+        assert not validate_triples(params, rules), f"invalid triple set for ({a}, {b})"
+        seed, P, y, z = derive_seed_from_triples(params, rules)
+        return ConstructionResult(params, seed, strategy, rules, Support(P, y, z))
 
     if b == 0:
         raise NotConstructible("BZero")
@@ -262,24 +261,23 @@ def construct(a: int, b: int) -> ConstructionResult:
             return result(p1 * p1, p2 * p2, TWO_PRIME_FACTORS, (p1, 0, 2), (p2, 1, 2))
 
     if (a, b) in TABLE1:
-        triples, _, _ = TABLE1[(a, b)]
-        return covering_result(triples, TABLE1_STRATEGY)
+        return covering_result(TABLE1[(a, b)][0], TABLE1_STRATEGY)
 
     if b == -1 and abs(a) >= 4:
         p1, p2, p3, p4 = pick_primes_bminus1(a)
         return covering_result(
-            ((p1, 2, 0), (p2, 6, 1), (p3, 6, 3), (p4, 6, 5)), COVERING_CRT
+            (Rule(p1, 0, 2), Rule(p2, 1, 6), Rule(p3, 3, 6), Rule(p4, 5, 6)), COVERING_CRT
         )
 
     if b == 1 and abs(a) >= 6:
         picked = pick_primes_bplus1(a)
         if len(picked) == 3:
             p1, p2, p3 = picked
-            triples = ((p1, 2, 0), (p2, 4, 1), (p3, 4, 3))
+            rules = (Rule(p1, 0, 2), Rule(p2, 1, 4), Rule(p3, 3, 4))
         else:
             p1, p2, p3, p4 = picked
-            triples = ((p1, 2, 0), (p2, 6, 1), (p3, 6, 3), (p4, 6, 5))
-        return covering_result(triples, COVERING_CRT)
+            rules = (Rule(p1, 0, 2), Rule(p2, 1, 6), Rule(p3, 3, 6), Rule(p4, 5, 6))
+        return covering_result(rules, COVERING_CRT)
 
     if (a, b) == (-1, -1):
         return result(8, 27, PERIODIC3, (2, 0, 3), (3, 1, 3), (5, 2, 3))

@@ -1,15 +1,14 @@
 """Covering systems of congruences and covering triples.
 
 A triple (p, m, r) couples a residue class r (mod m) with a prime p
-dividing the Lucas term u_m of the ambient recurrence.  A set of triples
-with distinct primes whose classes cover the integers yields composite-only
-seeds downstream.
+dividing the Lucas term u_m of the ambient recurrence; it is written as
+the divisor rule Rule(p, r, m).  A set of triples with distinct primes
+whose classes cover the integers yields composite-only seeds downstream.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .arith import EffortExceeded, factorize, is_prime
@@ -30,38 +29,6 @@ class Rule(NamedTuple):
     step: int
 
 
-@dataclass(frozen=True)
-class CoveringTriple:
-    p: int
-    m: int
-    r: int
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("modulus must be >= 2")
-        if not 0 <= self.r < self.m:
-            raise ValueError("residue must satisfy 0 <= r < m")
-
-
-@dataclass(frozen=True)
-class TripleSet:
-    triples: tuple[CoveringTriple, ...]
-    params: RecurrenceParams
-
-    @staticmethod
-    def of(triples, a: int, b: int) -> "TripleSet":
-        return TripleSet(tuple(CoveringTriple(*t) for t in triples), RecurrenceParams(a, b))
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(t.p for t in self.triples)
-
-    def classes(self) -> tuple[tuple[int, int], ...]:
-        return tuple((t.m, t.r) for t in self.triples)
-
-    def rules(self) -> tuple[Rule, ...]:
-        return tuple(Rule(t.p, t.r, t.m) for t in self.triples)
-
-
 class CoveringCheck(NamedTuple):
     covered: bool
     first_uncovered: int | None
@@ -78,33 +45,34 @@ def is_covering(classes: Sequence[tuple[int, int]]) -> CoveringCheck:
     return CoveringCheck(True, None)
 
 
-@dataclass(frozen=True)
-class TripleValidation:
-    ok: bool
-    failures: tuple[str, ...] = field(default_factory=tuple)
+def validate_triples(params: RecurrenceParams, rules: Sequence[Rule]) -> tuple[str, ...]:
+    """Failures of the covering triples Rule(p, r, m) against (a, b); () when valid.
 
-
-def validate_triples(tset: TripleSet) -> TripleValidation:
-    """Check the three triple-set conditions against the ambient (a, b).
-
-    (i) distinct primes, (ii) the classes cover the integers,
-    (iii) each p divides the Lucas term u_m.
+    Each rule needs m >= 2 and 0 <= r < m; then (i) distinct primes,
+    (ii) the classes r (mod m) cover the integers, (iii) each p divides
+    the Lucas term u_m.
     """
-    failures = []
-    primes = tset.primes()
+    failures = [
+        f"{t} needs step >= 2 and 0 <= start < step"
+        for t in rules
+        if t.step < 2 or not 0 <= t.start < t.step
+    ]
+    if failures:
+        return tuple(failures)
+    primes = tuple(t.d for t in rules)
     if len(set(primes)) != len(primes):
         failures.append(f"primes not distinct: {primes}")
-    for t in tset.triples:
-        if not is_prime(t.p):
-            failures.append(f"{t.p} is not prime in {t}")
-    check = is_covering(tset.classes())
+    for t in rules:
+        if not is_prime(t.d):
+            failures.append(f"{t.d} is not prime in {t}")
+    check = is_covering([(m, r) for _, r, m in rules])
     if not check.covered:
         failures.append(f"classes do not cover: {check.first_uncovered} is missed")
-    ctx = LucasContext(tset.params)
-    for t in tset.triples:
-        if ctx.u(t.m) % t.p != 0:
-            failures.append(f"{t.p} does not divide u_{t.m} = {ctx.u(t.m)} in {t}")
-    return TripleValidation(not failures, tuple(failures))
+    ctx = LucasContext(params)
+    for t in rules:
+        if ctx.u(t.step) % t.d != 0:
+            failures.append(f"{t.d} does not divide u_{t.step} = {ctx.u(t.step)} in {t}")
+    return tuple(failures)
 
 
 # Candidate class templates assembled from the default menu, smallest first.
@@ -123,13 +91,13 @@ def search_triples(
     params: RecurrenceParams,
     moduli_menu: Sequence[int] = DEFAULT_MODULI_MENU,
     effort: int = 10**6,
-) -> TripleSet | None:
-    """Deterministic search for a valid triple set with |b| = 1, |a| >= 2.
+) -> tuple[Rule, ...] | None:
+    """Deterministic search for valid covering triples with |b| = 1, |a| >= 2.
 
     Walks the class templates drawn from the menu in order; for each,
     assigns distinct primes (ascending, from the factorizations of the
     relevant u_m) to the classes, backtracking as needed.  Returns the
-    first set passing validate_triples, or None.
+    first rules passing validate_triples, or None.
     """
     if abs(params.b) != 1 or abs(params.a) < 2:
         raise ValueError("requires |b| = 1 and |a| >= 2")
@@ -168,11 +136,7 @@ def search_triples(
             return False
 
         if assign(0):
-            tset = TripleSet.of(
-                [(p, m, r) for p, (m, r) in zip(assignment, template)],
-                params.a,
-                params.b,
-            )
-            if validate_triples(tset).ok:
-                return tset
+            rules = tuple(Rule(p, r, m) for p, (m, r) in zip(assignment, template))
+            if not validate_triples(params, rules):
+                return rules
     return None

@@ -22,7 +22,7 @@ from .arith import (
     compositeness_witness,
     factorize,  # noqa: F401  unused; bench/test_bench.py expects tracing to patch it here
 )
-from .covering import Rule, TripleSet, validate_triples
+from .covering import Rule, validate_triples
 from .recurrence import RecurrenceParams, SeedPair, decimal_texts, iter_terms, terms
 
 # Reports whose largest term has at least this many bits take their term
@@ -77,8 +77,7 @@ class VerificationReport:
     coprime_ok: bool
     failures: tuple[str, ...]
     certificates: tuple[CompositenessCertificate, ...]
-    strategy: str | None = None
-    support: C.Support | None = None
+    construction: C.ConstructionResult | None = None
     covering_law_ok: bool | None = None
 
     @property
@@ -133,6 +132,7 @@ class VerificationReport:
                     ),
                 }
             )
+        c = self.construction
         d = {
             "params": {"a": self.params.a, "b": self.params.b},
             "seed": {"x0": str(self.seed.x0), "x1": str(self.seed.x1)},
@@ -141,15 +141,11 @@ class VerificationReport:
             "coprime_ok": self.coprime_ok,
             "failures": list(self.failures),
             "certificates": certificates,
-            "strategy": self.strategy,
+            "strategy": c.strategy if c is not None else None,
         }
-        if self.support is not None:
-            d["triples"] = [
-                {"p": t.p, "m": t.m, "r": t.r} for t in self.support.triples.triples
-            ]
-            d["P"] = self.support.P
-            d["y"] = self.support.y
-            d["z"] = self.support.z
+        if c is not None and c.support is not None:
+            d["triples"] = [{"p": p, "m": m, "r": r} for p, r, m in c.rules]
+            d.update(P=c.support.P, y=c.support.y, z=c.support.z)
         if self.covering_law_ok is not None:
             d["covering_law_ok"] = self.covering_law_ok
         return d
@@ -224,8 +220,7 @@ def verify(
         coprime_ok=coprime_ok,
         failures=tuple(failures),
         certificates=tuple(certificates),
-        strategy=construction.strategy if construction is not None else None,
-        support=construction.support if construction is not None else None,
+        construction=construction,
         covering_law_ok=covering_law_ok,
     )
 
@@ -269,10 +264,8 @@ def audit_table1(n_terms: int = 100) -> list[Table1RowReport]:
     not raised.
     """
     reports = []
-    for (a, b), (triples, x0, x1) in C.TABLE1.items():
+    for (a, b), (rules, x0, x1) in C.TABLE1.items():
         params = RecurrenceParams(a, b)
-        tset = TripleSet.of(triples, a, b)
-        validation = validate_triples(tset)
         seed = SeedPair(x0, x1)
         anomalies = []
         if x0 >= x1:
@@ -280,12 +273,12 @@ def audit_table1(n_terms: int = 100) -> list[Table1RowReport]:
         report = verify(params, seed, n_terms)
         covering_failures: list[str] = []
         xs = [cert.term for cert in report.certificates]
-        _rule_audit(tset.rules(), xs, covering_failures)
+        _rule_audit(rules, xs, covering_failures)
         reports.append(
             Table1RowReport(
                 a,
                 b,
-                validation.ok,
+                not validate_triples(params, rules),
                 seed,
                 report,
                 not covering_failures,

@@ -252,8 +252,15 @@ class TestCrt:
         assert 0 <= x < mod and x % 3 == 2 and x % 5 == 3
 
     def test_non_coprime_rejected(self):
-        with pytest.raises(NonCoprimeModuli):
-            crt_solve([(0, 4), (1, 6)])
+        for system in ([(0, 4), (1, 6)], [(0, 4), (0, 6)]):
+            with pytest.raises(NonCoprimeModuli):
+                crt_solve(system)
+
+    @pytest.mark.parametrize("system", [[(0, 0)], [(1, 3), (2, 0)], [(1, -5)]])
+    def test_modulus_below_one_rejected(self, system):
+        with pytest.raises(ValueError, match="< 1") as exc:
+            crt_solve(system)
+        assert not isinstance(exc.value, NonCoprimeModuli)
 
     def test_unique_solution_brute_force(self):
         rng = random.Random(6)

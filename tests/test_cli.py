@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from compseq.cli import main
+from compseq.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -34,6 +34,34 @@ class TestConstruct:
         code, out = run(capsys, "construct", "-a", "1", "-b", "1", "--terms", "200", "--json")
         assert code == 0
         assert json.loads(out)["strategy"] == "Vsemirnov"
+
+
+REPORT_KEYS = ["params", "seed", "horizon", "verdict", "coprime_ok", "failures", "certificates"]
+
+
+class TestCoveringReportKeys:
+    def test_covering_construction(self, capsys):
+        code, out = run(capsys, "construct", "-a", "-9", "-b", "-1", "--json")
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert list(report) == REPORT_KEYS + [
+            "strategy", "triples", "P", "y", "z", "covering_law_ok"
+        ]
+        assert report["triples"] == [
+            {"p": 3, "m": 2, "r": 0},
+            {"p": 2, "m": 6, "r": 1},
+            {"p": 5, "m": 6, "r": 3},
+            {"p": 13, "m": 6, "r": 5},
+        ]
+        assert (report["P"], report["y"], report["z"]) == (390, 105, 134)
+
+    @pytest.mark.parametrize(
+        "a, b, tail", [(0, 7, ["strategy", "covering_law_ok"]), (1, 1, ["strategy"])]
+    )
+    def test_other_constructions_have_no_covering_keys(self, capsys, a, b, tail):
+        code, out = run(capsys, "construct", "-a", str(a), "-b", str(b), "--json")
+        assert code == 0
+        assert list(json.loads(out)["report"]) == REPORT_KEYS + tail
 
 
 class TestVerify:
@@ -123,6 +151,21 @@ class TestOther:
         code = main(["lucas", "-a", "1", "-b", "1", "-n", "10", "--json", "-o", str(path)])
         assert code == 0
         assert json.loads(path.read_text())["u"]["value"] == "55"
+
+    def test_one_parser_serves_many_calls(self, capsys):
+        assert build_parser() is build_parser()
+        assert main(["construct", "-a", "notanint", "-b", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: " in captured.err
+        code, out = run(capsys, "construct", "-a", "-9", "-b", "-1", "--terms", "20", "--json")
+        assert code == 0
+        assert json.loads(out)["x1"]["value"] == "134"
+        code, out = run(capsys, "verify", "-a", "-9", "-b", "-1", "--x0", "105", "--x1", "134")
+        assert code == 0
+        assert "verdict: pass" in out and "horizon: 200" in out
+        code, out = run(capsys, "lucas", "-a", "1", "-b", "1", "-n", "10", "--json")
+        assert code == 0
+        assert json.loads(out)["u"]["value"] == "55"
 
     def test_json_round_trip(self, capsys):
         _, out = run(capsys, "construct", "-a", "8", "-b", "1", "--terms", "20", "--json")

@@ -170,9 +170,7 @@ class TestDeriveSeed:
         from compseq.lucas import LucasContext
 
         ctx = LucasContext(RecurrenceParams(9, 1))
-        residues = [
-            (ctx.u(t.m - t.r + 1) % t.p, t.p) for t in r.support.triples.triples
-        ]
+        residues = [(ctx.u(m - rr + 1) % p, p) for p, rr, m in r.rules]
         matches = [
             v
             for v in range(r.support.P)
@@ -185,10 +183,11 @@ class TestDeriveSeed:
         for a, b in [(11, -1), (16, 1), (27, 1), (-8, -1)]:
             r = C.construct(a, b)
             s = r.support
-            assert s.P == math.prod(s.triples.primes())
+            primes = [rule.d for rule in r.rules]
+            assert s.P == math.prod(primes)
             assert r.seed.x0 % s.P == s.y
             assert r.seed.x1 % s.P == s.z
-            assert r.seed.x0 > max(s.triples.primes())
+            assert r.seed.x0 > max(primes)
             assert r.seed.x1 > r.seed.x0
             assert math.gcd(r.seed.x0, r.seed.x1) == 1
 
@@ -202,12 +201,10 @@ class TestDispatch:
         assert (r.seed.x0, r.seed.x1) == (4, 25)
 
     def test_table1_rows_use_fixture_triples(self):
-        for (a, b), (triples, _, _) in C.TABLE1.items():
+        for (a, b), (rules, _, _) in C.TABLE1.items():
             r = C.construct(a, b)
             assert r.strategy == C.TABLE1_STRATEGY
-            assert [(t.p, t.m, t.r) for t in r.support.triples.triples] == list(
-                triples
-            )
+            assert r.rules == rules
 
     def test_periodic_cases(self):
         assert C.construct(-1, -1).seed == SeedPair(8, 27)

@@ -4,8 +4,7 @@ import pytest
 
 from compseq.covering import (
     _TEMPLATES,
-    CoveringTriple,
-    TripleSet,
+    Rule,
     is_covering,
     search_triples,
     validate_triples,
@@ -47,52 +46,47 @@ class TestIsCovering:
             assert is_covering(template).covered, template
 
 
+def triples(*ts):
+    """Covering triples (p, m, r) as the rules Rule(p, r, m)."""
+    return tuple(Rule(p, r, m) for p, m, r in ts)
+
+
 class TestTripleTypes:
     def test_residue_range_enforced(self):
-        with pytest.raises(ValueError):
-            CoveringTriple(3, 2, 2)
-        with pytest.raises(ValueError):
-            CoveringTriple(3, 1, 0)
+        for bad in triples((3, 2, 2), (3, 1, 0)):
+            failures = validate_triples(RecurrenceParams(3, 1), (bad,))
+            assert failures == (f"{bad} needs step >= 2 and 0 <= start < step",)
 
 
 class TestValidate:
     def test_table_row_3_1(self):
-        tset = TripleSet.of([(3, 2, 0), (11, 4, 1), (7, 8, 3), (17, 8, 7)], 3, 1)
-        assert validate_triples(tset).ok
+        rules = triples((3, 2, 0), (11, 4, 1), (7, 8, 3), (17, 8, 7))
+        assert validate_triples(RecurrenceParams(3, 1), rules) == ()
 
     def test_table_row_3_minus1(self):
-        tset = TripleSet.of(
-            [(3, 2, 0), (2, 3, 0), (7, 4, 3), (47, 8, 5), (23, 12, 5), (1103, 24, 1)],
-            3,
-            -1,
-        )
-        assert validate_triples(tset).ok
+        rules = triples((3, 2, 0), (2, 3, 0), (7, 4, 3), (47, 8, 5), (23, 12, 5), (1103, 24, 1))
+        assert validate_triples(RecurrenceParams(3, -1), rules) == ()
 
     def test_tampered_prime_fails_divisibility(self):
-        tset = TripleSet.of(
-            [(3, 2, 0), (2, 3, 0), (5, 4, 3), (47, 8, 5), (23, 12, 5), (1103, 24, 1)],
-            3,
-            -1,
-        )
-        result = validate_triples(tset)
-        assert not result.ok
-        assert any("does not divide" in f for f in result.failures)
+        rules = triples((3, 2, 0), (2, 3, 0), (5, 4, 3), (47, 8, 5), (23, 12, 5), (1103, 24, 1))
+        failures = validate_triples(RecurrenceParams(3, -1), rules)
+        assert failures
+        assert any("does not divide" in f for f in failures)
 
     def test_duplicate_primes_fail(self):
-        tset = TripleSet.of([(3, 2, 0), (3, 4, 1), (7, 4, 3)], 3, 1)
-        assert not validate_triples(tset).ok
+        rules = triples((3, 2, 0), (3, 4, 1), (7, 4, 3))
+        assert validate_triples(RecurrenceParams(3, 1), rules)
 
     def test_non_covering_fails(self):
-        tset = TripleSet.of([(3, 2, 0), (11, 4, 1)], 3, 1)
-        result = validate_triples(tset)
-        assert not result.ok
-        assert any("cover" in f for f in result.failures)
+        failures = validate_triples(RecurrenceParams(3, 1), triples((3, 2, 0), (11, 4, 1)))
+        assert failures
+        assert any("cover" in f for f in failures)
 
 
 class TestSearch:
     def test_paper_choice_minus9(self):
-        tset = search_triples(RecurrenceParams(-9, -1))
-        assert [(t.p, t.m, t.r) for t in tset.triples] == [
+        rules = search_triples(RecurrenceParams(-9, -1))
+        assert [(p, m, r) for p, r, m in rules] == [
             (3, 2, 0),
             (2, 6, 1),
             (5, 6, 3),
@@ -100,26 +94,28 @@ class TestSearch:
         ]
 
     def test_paper_choice_8(self):
-        tset = search_triples(RecurrenceParams(8, 1))
-        assert [(t.p, t.m, t.r) for t in tset.triples] == [
+        rules = search_triples(RecurrenceParams(8, 1))
+        assert [(p, m, r) for p, r, m in rules] == [
             (2, 2, 0),
             (3, 4, 1),
             (11, 4, 3),
         ]
 
     def test_a7_uses_u4_factors(self):
-        tset = search_triples(RecurrenceParams(7, 1))
-        assert validate_triples(tset).ok
-        assert set(tset.primes()) == {7, 3, 17}
+        params = RecurrenceParams(7, 1)
+        rules = search_triples(params)
+        assert validate_triples(params, rules) == ()
+        assert {rule.d for rule in rules} == {7, 3, 17}
 
     def test_output_always_validates(self):
         for a in list(range(3, 20)) + [-9, -15]:
             for b in (-1, 1):
                 if b == -1 and abs(a) == 2:
                     continue
-                tset = search_triples(RecurrenceParams(a, b))
-                assert tset is not None, (a, b)
-                assert validate_triples(tset).ok, (a, b)
+                params = RecurrenceParams(a, b)
+                rules = search_triples(params)
+                assert rules is not None, (a, b)
+                assert validate_triples(params, rules) == (), (a, b)
 
     def test_precondition(self):
         with pytest.raises(ValueError):

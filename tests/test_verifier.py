@@ -136,14 +136,8 @@ class TestVerify:
 
     def test_covering_audit_flags_bad_triples(self):
         r = C.construct(8, 1)
-        tset = C.TripleSet.of([(2, 2, 0), (3, 4, 1)], 8, 1)
-        broken = C.ConstructionResult(
-            r.params,
-            r.seed,
-            r.strategy,
-            tset.rules(),
-            C.Support(tset, r.support.P, r.support.y, r.support.z),
-        )
+        rules = (Rule(2, 0, 2), Rule(3, 1, 4))  # triples (2, 2, 0), (3, 4, 1)
+        broken = C.ConstructionResult(r.params, r.seed, r.strategy, rules, r.support)
         report = verify(r.params, r.seed, 30, construction=broken)
         assert report.covering_law_ok is False
         assert not report.verdict
