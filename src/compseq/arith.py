@@ -12,6 +12,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Iterator
 
 
 class NonCoprimeModuli(ValueError):
@@ -33,6 +34,8 @@ MR_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 DEFAULT_MR_ROUNDS = 64
 DEFAULT_TRIAL_BOUND = 10**6
+# factorize divides by the primes up to this bound before Pollard-Brent.
+FACTOR_TRIAL_BOUND = 10**5
 DEFAULT_RHO_EFFORT = 10**6
 COPRIME_SHIFT_CAP = 10**6
 
@@ -317,22 +320,20 @@ def _pollard_brent(n: int, effort: int, rng: random.Random) -> int | None:
     return None
 
 
-def factorize(
-    n: int,
-    effort: int = DEFAULT_RHO_EFFORT,
-    rng: random.Random | None = None,
-) -> PrimeFactorization:
-    """Complete prime factorization of |n| by trial division plus rho splitting.
+def trial_division(n: int) -> Iterator[tuple[int, int]]:
+    """Yield (p, e) with p**e exactly dividing |n|, p ascending, for every
+    prime p <= FACTOR_TRIAL_BOUND dividing n, one gcd per chunk of primes.
 
-    Raises EffortExceeded when a composite cofactor resists splitting within
-    the effort bound.
+    Runs lazily, so a caller that needs only the smallest primes stops it
+    early.  A cofactor that trial division proves prime (it stops once p * p
+    exceeds the cofactor) is yielded last, whatever its size.  Otherwise
+    what is left, |n| divided by every yielded p**e, is 1 or has no prime
+    factor <= FACTOR_TRIAL_BOUND, and is not factored here.
     """
     if n == 0:
         raise ValueError("cannot factorize 0")
-    rng = rng or random.Random(0xFAC70)
     m = abs(n)
-    counts: dict[int, int] = {}
-    primes = small_primes(10**5)
+    primes = small_primes(FACTOR_TRIAL_BOUND)
     for lo, hi, product in _prime_chunks(primes):
         if primes[lo] ** 2 > m:
             break
@@ -343,9 +344,33 @@ def factorize(
             if p * p > m:
                 break
             if g % p == 0:
+                e = 0
                 while m % p == 0:
-                    counts[p] = counts.get(p, 0) + 1
                     m //= p
+                    e += 1
+                yield p, e
+    # m has no prime factor below the prime where the loop stopped, and is
+    # below its square when the loop stopped early; when the loop ran through,
+    # a composite m is at least the square of the next prime.  Either way
+    # 1 < m < primes[-1]**2 makes m prime.
+    if 1 < m < primes[-1] ** 2:
+        yield m, 1
+
+
+def factorize(
+    n: int,
+    effort: int = DEFAULT_RHO_EFFORT,
+    rng: random.Random | None = None,
+) -> PrimeFactorization:
+    """Complete prime factorization of |n|: trial_division, then Pollard-Brent
+    splitting of the cofactor it leaves.
+
+    Raises EffortExceeded when a composite cofactor resists splitting within
+    the effort bound.
+    """
+    counts = dict(trial_division(n))
+    rng = rng or random.Random(0xFAC70)
+    m = abs(n) // math.prod(p**e for p, e in counts.items())
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()

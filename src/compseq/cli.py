@@ -4,8 +4,9 @@ Subcommands: construct, verify, triples, table, conjecture, lucas.
 Exit codes: 0 success/pass, 1 verification failure, 2 not constructible,
 3 argument errors, 4 output too large (a number in the output has more
 decimal digits than Python converts to text, 4300 by default; ask for
-fewer terms or a smaller index).  Pass/fail is signalled only through the
-exit code; --json emits machine-readable output.
+fewer terms or a smaller index), 5 effort exceeded (a number the command
+had to factorize resisted the factoring effort bound).  Pass/fail is
+signalled only through the exit code; --json emits machine-readable output.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 
 from . import constructor as C
 from . import covering, lucas, verifier
+from .arith import EffortExceeded
 from .recurrence import RecurrenceParams, SeedPair
 
 EXIT_PASS = 0
@@ -24,6 +26,7 @@ EXIT_FAIL = 1
 EXIT_NOT_CONSTRUCTIBLE = 2
 EXIT_USAGE = 3
 EXIT_TOO_LARGE = 4
+EXIT_EFFORT = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -211,6 +214,9 @@ def main(argv=None) -> int:
     except verifier.OutputTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
+    except EffortExceeded as exc:
+        print(f"error: effort exceeded: {exc}", file=sys.stderr)
+        return EXIT_EFFORT
 
 
 if __name__ == "__main__":

@@ -8,8 +8,10 @@ known record pair for (1, 1) and its reflection for (-1, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
-from .arith import coprime_shift, crt_solve, factorize, is_prime
+from .arith import coprime_shift, crt_solve, factorize, is_prime, trial_division
 from .covering import Rule, validate_triples
 from .lucas import LucasContext
 from .recurrence import RecurrenceParams, SeedPair
@@ -126,24 +128,43 @@ def _prime_power_base(n: int) -> int | None:
     return None
 
 
+def _primes_ascending(n: int) -> Iterator[int]:
+    """The distinct primes of |n| in increasing order, produced lazily: those
+    that trial division finds, then, only for a caller that reads past them,
+    the primes of the full factorization of the cofactor it leaves.
+
+    Every prime of that cofactor exceeds every prime trial division finds,
+    so a caller that stops early has read a prefix of factorize(n).primes().
+    """
+    m = abs(n)
+    for p, e in trial_division(n):
+        yield p
+        m //= p**e
+    if m > 1:
+        yield from factorize(m).primes()
+
+
+def _smallest_primes(n: int, k: int, exclude: tuple[int, ...] = ()) -> list[int]:
+    """The k smallest primes of |n| not in `exclude`; fewer when there are
+    not k of them."""
+    return list(islice((p for p in _primes_ascending(n) if p not in exclude), k))
+
+
 def pick_primes_bminus1(a: int) -> tuple[int, int, int, int]:
     """Four distinct primes for b = -1, |a| = p1^s >= 4.
 
     p1 divides u_2 = a; the others divide u_6 = a(a^2-1)(a^2-3): p4 from
     a^2-3 (not 3, not p1), p2 < p3 the two smallest primes of a^2-1 not yet
     used.  Backtracks to the next admissible p4 when the greedy choice
-    starves a^2-1 of two primes.
+    starves a^2-1 of two primes.  Each prime is the smallest admissible one,
+    so trial division usually finds them all and nothing is factorized.
     """
     p1 = _prime_power_base(a)
     if p1 is None or abs(a) < 4:
         raise ValueError("requires |a| = p^s >= 4")
-    p4_candidates = [
-        p for p in factorize(a * a - 3).primes() if p != 3 and p != p1
-    ]
-    amin1_primes = factorize(a * a - 1).primes()
-    for p4 in p4_candidates:
-        rest = [p for p in amin1_primes if p not in (p1, p4)]
-        if len(rest) >= 2:
+    for p4 in (p for p in _primes_ascending(a * a - 3) if p not in (3, p1)):
+        rest = _smallest_primes(a * a - 1, 2, (p1, p4))
+        if len(rest) == 2:
             return p1, rest[0], rest[1], p4
     raise ValueError(f"no admissible prime selection for a={a}")  # pragma: no cover
 
@@ -153,18 +174,16 @@ def pick_primes_bplus1(a: int) -> tuple[int, ...]:
 
     p != 3: (p1, 3, p3) with p3 dividing a^2+2, covering with moduli {2, 4}.
     p == 3: (3, 2, p3, p4) with p3 from the odd part of a^2+1 and p4 from
-    (a^2+3)/12, covering with moduli {2, 6}.
+    (a^2+3)/12, covering with moduli {2, 6}.  Each prime is the smallest
+    admissible one, as in pick_primes_bminus1.
     """
     p1 = _prime_power_base(a)
     if p1 is None or abs(a) < 6:
         raise ValueError("requires |a| = p^s >= 6")
     if p1 != 3:
-        candidates = [p for p in factorize(a * a + 2).primes() if p not in (3, p1)]
-        return p1, 3, candidates[0]
-    odd_part = (a * a + 1) // 2
-    p3 = factorize(odd_part).primes()[0]
-    p4_pool = [p for p in factorize((a * a + 3) // 12).primes() if p not in (3, 2, p3)]
-    return 3, 2, p3, p4_pool[0]
+        return p1, 3, _smallest_primes(a * a + 2, 1, (3, p1))[0]
+    p3 = _smallest_primes((a * a + 1) // 2, 1)[0]
+    return 3, 2, p3, _smallest_primes((a * a + 3) // 12, 1, (3, 2, p3))[0]
 
 
 def derive_seed_from_triples(
@@ -217,14 +236,14 @@ def construct(a: int, b: int) -> ConstructionResult:
         # a = 2c, b = -c^2; for a < 0 reflect x1 so both seeds stay positive
         # (the reflected sequence has the same |x_n|).
         c = abs(a) // 2
-        spf = factorize(c).primes()[0]
+        spf = _smallest_primes(c, 1)[0]
         return result(
             4 * c * c - 1, 2 * c**3, DEGENERATE_DISC, (2 * c - 1, 0, 0), (spf, 1, 1)
         )
 
     if abs(b) >= 2:
         # x_n for n >= 1 is a multiple of b, hence of its smallest prime.
-        tail = (factorize(abs(b)).primes()[0], 1, 1)
+        tail = (_smallest_primes(b, 1)[0], 1, 1)
         if abs(a) > abs(b):
             return result(b**4 - 1, b**4, CASE_I, (b * b - 1, 0, 0), tail)
         if not is_prime(abs(b)):

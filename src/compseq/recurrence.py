@@ -72,11 +72,21 @@ def decimal_texts(params: RecurrenceParams, seed: SeedPair, n: int) -> list[str]
     )
     add, mul, zero = exact.add, exact.multiply, decimal.Decimal(0)
     a, b = decimal.Decimal(params.a), decimal.Decimal(params.b)
+    # b = +-1 adds or subtracts x_{n-1}, which saves a full-length product.
+    if params.b == 1:
+        def step(x, y):
+            return add(mul(a, y), x)
+    elif params.b == -1:
+        def step(x, y):
+            return exact.subtract(mul(a, y), x)
+    else:
+        def step(x, y):
+            return add(mul(a, y), mul(b, x))
     x, y = decimal.Decimal(seed.x0), decimal.Decimal(seed.x1)
     texts = [str(x)]
     for _ in range(n):
         texts.append(str(y))
-        x, y = y, add(mul(a, y), mul(b, x))
+        x, y = y, step(x, y)
         if not y:
             y = zero  # Decimal keeps the sign of zero; x_n = 0 prints as "0"
     return texts

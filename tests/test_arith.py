@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from compseq.arith import (
     CHUNK_PRIMES,
     DEFAULT_TRIAL_BOUND,
+    FACTOR_TRIAL_BOUND,
     GROUP_CHUNKS,
     MR_DETERMINISTIC_BASES,
     MR_DETERMINISTIC_BOUND,
@@ -28,6 +29,7 @@ from compseq.arith import (
     is_prime,
     small_primes,
     sqrt_if_square,
+    trial_division,
 )
 
 
@@ -235,6 +237,46 @@ class TestFactorize:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             factorize(0)
+        with pytest.raises(ValueError):
+            list(trial_division(0))
+
+
+LAST_TRIAL_PRIME = sympy.prevprime(FACTOR_TRIAL_BOUND)
+# Primes at the chunk edges and on both sides of the trial bound and its root.
+TRIAL_EDGE_PRIMES = sorted(
+    {2, 3, sympy.prime(CHUNK_PRIMES), sympy.prime(CHUNK_PRIMES + 1), LAST_TRIAL_PRIME}
+    | {f(math.isqrt(FACTOR_TRIAL_BOUND)) for f in (sympy.prevprime, sympy.nextprime)}
+    | {sympy.nextprime(FACTOR_TRIAL_BOUND), sympy.nextprime(FACTOR_TRIAL_BOUND**2)}
+)
+
+
+class TestTrialDivision:
+    def test_edges(self):
+        q = sympy.nextprime(FACTOR_TRIAL_BOUND)
+        assert list(trial_division(-2 * LAST_TRIAL_PRIME)) == [(2, 1), (LAST_TRIAL_PRIME, 1)]
+        assert list(trial_division(LAST_TRIAL_PRIME**2)) == [(LAST_TRIAL_PRIME, 2)]
+        assert list(trial_division(LAST_TRIAL_PRIME * q)) == [(LAST_TRIAL_PRIME, 1), (q, 1)]
+        assert list(trial_division(12 * q)) == [(2, 2), (3, 1), (q, 1)]
+        # q^2 passes every trial prime but is not below LAST_TRIAL_PRIME^2.
+        assert list(trial_division(q * q)) == []
+        assert list(trial_division(1)) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        primes=st.lists(
+            st.sampled_from(TRIAL_EDGE_PRIMES) | st.integers(3, 10**9).map(sympy.prevprime),
+            max_size=4,
+        ),
+        sign=st.sampled_from((1, -1)),
+    )
+    def test_a_prefix_of_the_factorization(self, primes, sign):
+        n = sign * math.prod(primes)
+        found = list(trial_division(n))
+        full = sorted(sympy.factorint(abs(n)).items())
+        assert found == full[: len(found)]
+        assert all(p > FACTOR_TRIAL_BOUND for p, _ in full[len(found) :])
+        rest = abs(n) // math.prod(p**e for p, e in found)
+        assert rest == 1 or rest > LAST_TRIAL_PRIME**2
 
 
 class TestCrt:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from compseq.cli import build_parser, main
+from compseq.cli import EXIT_EFFORT, build_parser, main
 
 
 def run(capsys, *argv):
@@ -118,6 +118,18 @@ class TestOther:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
+
+    def test_effort_exceeded_exit_code(self, capsys, monkeypatch):
+        from compseq import arith, constructor
+
+        def resist(n, *args, **kwargs):
+            raise arith.EffortExceeded(f"could not split {n}")
+
+        monkeypatch.setattr(constructor, "factorize", resist)
+        assert main(["construct", "-a", "8", "-b", "1", "--json"]) == EXIT_EFFORT == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: effort exceeded: could not split 8\n"
 
     def test_table(self, capsys):
         code, out = run(capsys, "table", "--terms", "30", "--json")

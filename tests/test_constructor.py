@@ -1,10 +1,14 @@
 import math
 
 import pytest
+import sympy
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
 
 from compseq import constructor as C
-from compseq.arith import is_perfect_square, is_prime
+from compseq.arith import EffortExceeded, factorize, is_perfect_square, is_prime
 from compseq.recurrence import RecurrenceParams, SeedPair, terms
+from compseq.verifier import verify_construction
 
 # The paper's 1444-vs-1144 display discrepancy for (a, b) = (9, 1): CRT
 # recomputation fixes z = 1444.
@@ -145,6 +149,128 @@ class TestPrimePicks:
             picks = C.pick_primes_bplus1(a)
             assert len(set(picks)) == len(picks)
             assert all(is_prime(p) for p in picks)
+
+
+def ref_pick_primes_bminus1(a):
+    """pick_primes_bminus1 from the full factorizations of a, a^2-3 and a^2-1."""
+    p1 = factorize(a).primes()[0]
+    p4_candidates = [p for p in factorize(a * a - 3).primes() if p != 3 and p != p1]
+    amin1_primes = factorize(a * a - 1).primes()
+    for p4 in p4_candidates:
+        rest = [p for p in amin1_primes if p not in (p1, p4)]
+        if len(rest) >= 2:
+            return p1, rest[0], rest[1], p4
+    raise ValueError(f"no admissible prime selection for a={a}")
+
+
+def ref_pick_primes_bplus1(a):
+    """pick_primes_bplus1 from the full factorizations of a and of a^2+2, or
+    of (a^2+1)/2 and (a^2+3)/12 when a is a power of 3."""
+    p1 = factorize(a).primes()[0]
+    if p1 != 3:
+        candidates = [p for p in factorize(a * a + 2).primes() if p not in (3, p1)]
+        return p1, 3, candidates[0]
+    p3 = factorize((a * a + 1) // 2).primes()[0]
+    p4_pool = [p for p in factorize((a * a + 3) // 12).primes() if p not in (3, 2, p3)]
+    return 3, 2, p3, p4_pool[0]
+
+
+@st.composite
+def prime_powers(draw, top=10**12):
+    """+-p^s <= top for s = 1, 2, 3, with p a small prime or up to the s-th root of top."""
+    s = draw(st.integers(1, 3))
+    root = sympy.integer_nthroot(top, s)[0]
+    p = draw(st.sampled_from((2, 3, 5, 7)) | st.integers(3, root).map(sympy.prevprime))
+    return draw(st.sampled_from((1, -1))) * p**s
+
+
+def picker_factorizations(monkeypatch, pick, a):
+    """pick(a), and the numbers other than a that it factorized on the way."""
+    seen = []
+
+    def recording(n, *args, **kwargs):
+        seen.append(n)
+        return factorize(n, *args, **kwargs)
+
+    monkeypatch.setattr(C, "factorize", recording)
+    return pick(a), [n for n in seen if abs(n) != abs(a)]
+
+
+PICKERS = [
+    (C.pick_primes_bminus1, ref_pick_primes_bminus1),
+    (C.pick_primes_bplus1, ref_pick_primes_bplus1),
+]
+
+
+class TestPickersMatchFullFactorization:
+    @settings(max_examples=60, deadline=None)
+    @given(a=prime_powers())
+    def test_prime_powers(self, a):
+        assume(abs(a) >= 6)
+        for pick, ref in PICKERS:
+            try:
+                expected = ref(a)
+            except EffortExceeded:
+                reject()
+            assert pick(a) == expected, (pick.__name__, a)
+
+    # a^2 + 2 = 3^k q with q prime just below 10^5: trial division leaves q
+    # as its cofactor and proves it prime, so nothing else is factorized.
+    @pytest.mark.parametrize("a", [521, -541, 941])
+    def test_prime_cofactor_below_the_trial_bound(self, monkeypatch, a):
+        picked, factorized = picker_factorizations(monkeypatch, C.pick_primes_bplus1, a)
+        assert picked == ref_pick_primes_bplus1(a)
+        assert 9 * 10**4 < picked[2] < 10**5
+        assert set(sympy.factorint(a * a + 2)) == {3, picked[2]}
+        assert factorized == []
+
+    # Trial division finds too few admissible primes, so the picker factorizes
+    # the cofactor it leaves: of a^2+2, prime (583782940679) or composite
+    # (-175669030073); of a^2-1 (518750281723, -3^13); of (a^2+1)/2 (3^12).
+    @pytest.mark.parametrize(
+        "pick, ref, a",
+        [
+            (*PICKERS[1], 583782940679),
+            (*PICKERS[1], -175669030073),
+            (*PICKERS[0], 518750281723),
+            (*PICKERS[0], -(3**13)),
+            (*PICKERS[1], 3**12),
+        ],
+    )
+    def test_fallback_to_factorize(self, monkeypatch, pick, ref, a):
+        picked, factorized = picker_factorizations(monkeypatch, pick, a)
+        assert picked == ref(a)
+        assert factorized
+
+    def test_small_coefficients(self):
+        for a in range(-300, 301):
+            p1 = C._prime_power_base(a)
+            if p1 is None:
+                continue
+            for (pick, ref), least in zip(PICKERS, (4, 6)):
+                if abs(a) >= least:
+                    assert pick(a) == ref(a), (pick.__name__, a)
+
+
+@pytest.mark.parametrize(
+    "a, b", [(2**61 - 1, -1), (5**30, 1), (7**25, 1), (7**25, -1), (2**89 - 1, 1), (2**89 - 1, -1)]
+)
+def test_large_prime_powers_construct(a, b):
+    # Full factorization of a^2-3 or a^2+2 exceeds the effort bound for all
+    # but (2^89-1, -1); the smallest admissible primes are all below 10^5.
+    r = C.construct(a, b)
+    assert r.strategy == C.COVERING_CRT
+    report = verify_construction(r, 200)
+    assert report.verdict and report.covering_law_ok
+
+
+def test_smallest_prime_factor_of_a_large_b():
+    b = -2 * (2**61 - 1) * (2**89 - 1)
+    r = C.construct(7, b)
+    assert r.strategy == C.CASE_II and r.rules[-1] == (2, 1, 1)
+    c = 3 * (2**61 - 1) * (2**89 - 1)
+    r = C.construct(2 * c, -c * c)
+    assert r.strategy == C.DEGENERATE_DISC and r.rules[-1] == (3, 1, 1)
 
 
 class TestDeriveSeed:
