@@ -5,8 +5,10 @@ Exit codes: 0 success/pass, 1 verification failure, 2 not constructible,
 3 argument errors, 4 output too large (a number in the output has more
 decimal digits than Python converts to text, 4300 by default; ask for
 fewer terms or a smaller index), 5 effort exceeded (a number the command
-had to factorize resisted the factoring effort bound).  Pass/fail is
-signalled only through the exit code; --json emits machine-readable output.
+had to factorize resisted the factoring effort bound), 6 internal error
+(a search ran out of candidates or an internal check failed; a bug to
+report).  Pass/fail is signalled only through the exit code; --json emits
+machine-readable output.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 
 from . import constructor as C
 from . import covering, lucas, verifier
-from .arith import EffortExceeded
+from .arith import EffortExceeded, SearchExhausted
 from .recurrence import RecurrenceParams, SeedPair
 
 EXIT_PASS = 0
@@ -27,6 +29,7 @@ EXIT_NOT_CONSTRUCTIBLE = 2
 EXIT_USAGE = 3
 EXIT_TOO_LARGE = 4
 EXIT_EFFORT = 5
+EXIT_INTERNAL = 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -217,6 +220,9 @@ def main(argv=None) -> int:
     except EffortExceeded as exc:
         print(f"error: effort exceeded: {exc}", file=sys.stderr)
         return EXIT_EFFORT
+    except (SearchExhausted, AssertionError) as exc:
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -150,7 +150,7 @@ def _smallest_primes(n: int, k: int, exclude: tuple[int, ...] = ()) -> list[int]
     return list(islice((p for p in _primes_ascending(n) if p not in exclude), k))
 
 
-def pick_primes_bminus1(a: int) -> tuple[int, int, int, int]:
+def pick_primes_bminus1(a: int, p1: int | None = None) -> tuple[int, int, int, int]:
     """Four distinct primes for b = -1, |a| = p1^s >= 4.
 
     p1 divides u_2 = a; the others divide u_6 = a(a^2-1)(a^2-3): p4 from
@@ -158,8 +158,10 @@ def pick_primes_bminus1(a: int) -> tuple[int, int, int, int]:
     used.  Backtracks to the next admissible p4 when the greedy choice
     starves a^2-1 of two primes.  Each prime is the smallest admissible one,
     so trial division usually finds them all and nothing is factorized.
+    A caller that knows p1 (construct does) passes it; else it is found here.
     """
-    p1 = _prime_power_base(a)
+    if p1 is None:
+        p1 = _prime_power_base(a)
     if p1 is None or abs(a) < 4:
         raise ValueError("requires |a| = p^s >= 4")
     for p4 in (p for p in _primes_ascending(a * a - 3) if p not in (3, p1)):
@@ -169,15 +171,16 @@ def pick_primes_bminus1(a: int) -> tuple[int, int, int, int]:
     raise ValueError(f"no admissible prime selection for a={a}")  # pragma: no cover
 
 
-def pick_primes_bplus1(a: int) -> tuple[int, ...]:
+def pick_primes_bplus1(a: int, p1: int | None = None) -> tuple[int, ...]:
     """Primes for b = 1, |a| = p^s >= 6.
 
     p != 3: (p1, 3, p3) with p3 dividing a^2+2, covering with moduli {2, 4}.
     p == 3: (3, 2, p3, p4) with p3 from the odd part of a^2+1 and p4 from
     (a^2+3)/12, covering with moduli {2, 6}.  Each prime is the smallest
-    admissible one, as in pick_primes_bminus1.
+    admissible one, and p1 is passed or found, as in pick_primes_bminus1.
     """
-    p1 = _prime_power_base(a)
+    if p1 is None:
+        p1 = _prime_power_base(a)
     if p1 is None or abs(a) < 6:
         raise ValueError("requires |a| = p^s >= 6")
     if p1 != 3:
@@ -272,24 +275,27 @@ def construct(a: int, b: int) -> ConstructionResult:
             x0, x1 = a**3, -b * (b * b + a * a)
         return result(x0, x1, CASE_IIIC, (abs(a), 0, 0), tail)
 
-    # |b| = 1 from here on.
+    # |b| = 1 from here on.  |a| is factorized once: two primes make
+    # TwoPrimeFactors, and one alone is the p of |a| = p^s the pickers need.
+    base = None
     if abs(a) >= 2:
         primes = factorize(a).primes()
         if len(primes) >= 2:
             p1, p2 = primes[:2]
             return result(p1 * p1, p2 * p2, TWO_PRIME_FACTORS, (p1, 0, 2), (p2, 1, 2))
+        base = primes[0]
 
     if (a, b) in TABLE1:
         return covering_result(TABLE1[(a, b)][0], TABLE1_STRATEGY)
 
     if b == -1 and abs(a) >= 4:
-        p1, p2, p3, p4 = pick_primes_bminus1(a)
+        p1, p2, p3, p4 = pick_primes_bminus1(a, base)
         return covering_result(
             (Rule(p1, 0, 2), Rule(p2, 1, 6), Rule(p3, 3, 6), Rule(p4, 5, 6)), COVERING_CRT
         )
 
     if b == 1 and abs(a) >= 6:
-        picked = pick_primes_bplus1(a)
+        picked = pick_primes_bplus1(a, base)
         if len(picked) == 3:
             p1, p2, p3 = picked
             rules = (Rule(p1, 0, 2), Rule(p2, 1, 4), Rule(p3, 3, 4))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import constructor as C
 from .arith import (
@@ -61,8 +62,14 @@ def decimal_digits(n: int) -> tuple[str, int]:
     return text, len(text) - (n < 0)
 
 
-@dataclass(frozen=True)
-class CompositenessCertificate:
+class CompositenessCertificate(NamedTuple):
+    """Why |x_index| is composite: term is x_index, witness its certificate.
+
+    An immutable, hashable tuple record, like covering.Rule, so that the one
+    `verify` makes per term costs no more than a tuple; `_replace` gives an
+    edited copy.
+    """
+
     index: int
     term: int
     witness: Witness
@@ -198,19 +205,17 @@ def verify(
     xs = terms(params, seed, n_terms)
     rules = construction.rules if construction is not None else ()
     covering_law_ok = None
-    witnesses: list[Divisor | None] = [None] * len(xs)
+    witnesses: list[Witness | None] = [None] * len(xs)
     if rules:
         before = len(failures)
         witnesses = _rule_audit(rules, xs, failures)
         covering_law_ok = len(failures) == before
-
-    certificates = []
-    for n, (x, witness) in enumerate(zip(xs, witnesses)):
+    for n, witness in enumerate(witnesses):
         if witness is None:
-            witness = compositeness_witness(x)
-        if isinstance(witness, NotComposite):
-            failures.append(f"|x_{n}| = {abs(x)} is not composite")
-        certificates.append(CompositenessCertificate(n, x, witness))
+            witness = witnesses[n] = compositeness_witness(xs[n])
+            if isinstance(witness, NotComposite):
+                failures.append(f"|x_{n}| = {abs(xs[n])} is not composite")
+    certificates = tuple(map(CompositenessCertificate, range(len(xs)), xs, witnesses))
 
     return VerificationReport(
         params=params,
@@ -219,7 +224,7 @@ def verify(
         verdict=not failures,
         coprime_ok=coprime_ok,
         failures=tuple(failures),
-        certificates=tuple(certificates),
+        certificates=certificates,
         construction=construction,
         covering_law_ok=covering_law_ok,
     )

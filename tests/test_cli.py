@@ -1,8 +1,22 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from compseq.cli import EXIT_EFFORT, build_parser, main
+from compseq.cli import (
+    EXIT_EFFORT,
+    EXIT_FAIL,
+    EXIT_INTERNAL,
+    EXIT_NOT_CONSTRUCTIBLE,
+    EXIT_PASS,
+    EXIT_TOO_LARGE,
+    EXIT_USAGE,
+    build_parser,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -131,6 +145,32 @@ class TestOther:
         assert captured.out == ""
         assert captured.err == "error: effort exceeded: could not split 8\n"
 
+    def test_search_exhausted_exit_code(self, capsys, monkeypatch):
+        from compseq import arith, constructor
+
+        def exhausted(*args, **kwargs):
+            raise arith.SearchExhausted("no admissible k below 10")
+
+        monkeypatch.setattr(constructor, "coprime_shift", exhausted)
+        assert main(["construct", "-a", "8", "-b", "1", "--json"]) == EXIT_INTERNAL == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: internal error: SearchExhausted('no admissible k below 10')\n"
+        )
+
+    def test_failed_assertion_exit_code(self, capsys, monkeypatch):
+        from compseq import constructor
+
+        # construct asserts that the triples it picked are valid.
+        monkeypatch.setattr(constructor, "validate_triples", lambda *args: ("bad triple",))
+        assert main(["construct", "-a", "8", "-b", "1", "--json"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: internal error: AssertionError('invalid triple set for (8, 1)')\n"
+        )
+
     def test_table(self, capsys):
         code, out = run(capsys, "table", "--terms", "30", "--json")
         assert code == 0
@@ -183,3 +223,53 @@ class TestOther:
         _, out = run(capsys, "construct", "-a", "8", "-b", "1", "--terms", "20", "--json")
         payload = json.loads(out)
         assert json.loads(json.dumps(payload)) == payload
+
+
+# Every flag each subcommand takes, with values around and past its range.
+SMALL = st.integers(-12, 12)
+FLAG_VALUES = {
+    "-a": SMALL,
+    "-b": SMALL,
+    "--x0": SMALL,
+    "--x1": SMALL,
+    "--terms": st.integers(-3, 30),
+    "-n": st.integers(-3, 30),
+    "--a-max": st.integers(-3, 8),
+    "--p-max": st.integers(-3, 30),
+}
+SUBCOMMAND_FLAGS = {
+    "construct": ("-a", "-b", "--terms"),
+    "verify": ("-a", "-b", "--x0", "--x1", "--terms"),
+    "triples": ("-a", "-b", "--terms"),
+    "table": ("--terms",),
+    "conjecture": ("--a-max", "--p-max"),
+    "lucas": ("-a", "-b", "-n"),
+}
+DOCUMENTED_EXIT_CODES = {
+    EXIT_PASS, EXIT_FAIL, EXIT_NOT_CONSTRUCTIBLE, EXIT_USAGE, EXIT_TOO_LARGE, EXIT_EFFORT,
+    EXIT_INTERNAL,
+}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with each of its flags present (most often) or missing,
+    in any order, and --json or not."""
+    command = draw(st.sampled_from(sorted(SUBCOMMAND_FLAGS)))
+    argv = [command]
+    for flag in draw(st.permutations(SUBCOMMAND_FLAGS[command])):
+        if draw(st.integers(0, 4)):
+            argv += [flag, str(draw(FLAG_VALUES[flag]))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs())
+def test_fuzzed_argv_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in DOCUMENTED_EXIT_CODES, (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

@@ -252,6 +252,30 @@ class TestPickersMatchFullFactorization:
                     assert pick(a) == ref(a), (pick.__name__, a)
 
 
+# construct factorizes |a| once and hands the p of |a| = p^s to the picker,
+# which factorizes it again only when called with a alone.
+@pytest.mark.parametrize(
+    "a, b, p",
+    [
+        (999999999989, 1, 999999999989),
+        (999999999989, -1, 999999999989),
+        (1000003**2, 1, 1000003),
+        (-(1009**3), -1, 1009),
+    ],
+)
+def test_construct_factorizes_a_once(monkeypatch, a, b, p):
+    seen = []
+
+    def recording(n, *args, **kwargs):
+        seen.append(n)
+        return factorize(n, *args, **kwargs)
+
+    monkeypatch.setattr(C, "factorize", recording)
+    r = C.construct(a, b)
+    assert r.strategy == C.COVERING_CRT and r.rules[0] == (p, 0, 2)
+    assert [n for n in seen if abs(n) == abs(a)] == [a], seen
+
+
 @pytest.mark.parametrize(
     "a, b", [(2**61 - 1, -1), (5**30, 1), (7**25, 1), (7**25, -1), (2**89 - 1, 1), (2**89 - 1, -1)]
 )

@@ -207,6 +207,39 @@ class TestReportSerialization:
             assert key in d
 
 
+class TestCertificateRecord:
+    def test_immutable_and_hashable(self):
+        cert = verify_construction(C.construct(-9, -1), 10).certificates[3]
+        with pytest.raises(AttributeError):
+            cert.term = 1
+        assert hash(cert) == hash(CompositenessCertificate(3, cert.term, cert.witness))
+        assert cert._replace(term=1) == (3, 1, cert.witness) and cert.term != 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(-12, 12),
+        st.integers(-12, 12).filter(bool),
+        st.integers(-50, 50),
+        st.integers(-50, 50),
+        st.integers(0, 60),
+        st.booleans(),
+    )
+    def test_one_record_per_term_in_index_order(self, a, b, x0, x1, n, constructed):
+        params, seed, construction = RecurrenceParams(a, b), SeedPair(x0, x1), None
+        if constructed and (abs(a), b) != (2, -1):
+            construction = C.construct(a, b)
+            params, seed = construction.params, construction.seed
+        report = verify(params, seed, n, construction)
+        xs = terms(params, seed, n)
+        assert [(c.index, c.term) for c in report.certificates] == list(enumerate(xs))
+        not_composite = [
+            f"|x_{c.index}| = {abs(c.term)} is not composite"
+            for c in report.certificates
+            if isinstance(c.witness, NotComposite)
+        ]
+        assert [f for f in report.failures if f.endswith("is not composite")] == not_composite
+
+
 def hand_built(params, seed, xs):
     """A report on the given terms, as a caller outside `verify` may build one."""
     certs = tuple(CompositenessCertificate(n, x, NotComposite()) for n, x in enumerate(xs))
@@ -262,7 +295,7 @@ class TestTermTexts:
     def test_tampered_term_prints_its_own_text(self, at):
         report = verify_construction(C.construct(-9, -1), 40)
         certs = list(report.certificates)
-        certs[at] = dataclasses.replace(certs[at], term=-(certs[at].term + 1))
+        certs[at] = certs[at]._replace(term=-(certs[at].term + 1))
         tampered = dataclasses.replace(report, certificates=tuple(certs))
         assert tampered.to_dict()["certificates"][at]["term"] == str(certs[at].term)
         assert_texts_match_str(tampered)
