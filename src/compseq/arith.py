@@ -46,7 +46,7 @@ SCREEN_BOUND = 4096
 # exactly the first four chunks, so the screen needs no partial product.
 CHUNK_PRIMES = 141
 SCREEN_CHUNKS = 4
-# Chunks per group past the screen: a witness scan takes one gcd per group
+# Chunks per group past the screen: _prime_divisors takes one gcd per group
 # there and splits only a group that shares a factor into its chunks.
 GROUP_CHUNKS = 16
 
@@ -75,7 +75,7 @@ def small_primes(limit: int = DEFAULT_TRIAL_BOUND) -> list[int]:
 # serves all of them; chunks are built when a scan first reaches them.
 _chunk_products: dict[int, int] = {}
 # (lo, hi) -> product of primes with indices [lo, hi), for each group of
-# chunks past the screen that a witness scan has reached.
+# chunks past the screen that _prime_divisors has reached.
 _group_products: dict[tuple[int, int], int] = {}
 
 
@@ -115,22 +115,28 @@ def _prime_groups(primes: list[int]):
         yield lo, hi, product
 
 
-def _smallest_prime_factor(m: int, primes: list[int], limit: int) -> int | None:
-    """The smallest p in `primes` with p <= limit that divides m, or None.
+def _prime_divisors(m: int, primes: list[int], limit: int) -> Iterator[int]:
+    """Yield, in increasing order, the p in `primes` with p <= limit that
+    divide m.
 
-    One gcd per block of _prime_groups; a block that shares a factor with m
-    is searched chunk by chunk, and the first such chunk prime by prime."""
+    One gcd per block of _prime_groups; only a block that shares a factor
+    with m is split into its chunks, and only a chunk that shares one is
+    searched prime by prime."""
     for lo, hi, product in _prime_groups(primes):
         if primes[lo] > limit:
-            break
+            return
         g = math.gcd(m, product)
-        if g != 1:
-            for lo, hi, chunk in _prime_chunks(primes, lo, hi):
-                h = math.gcd(g, chunk)
-                if h != 1:
-                    p = next(p for p in primes[lo:hi] if h % p == 0)
-                    return p if p <= limit else None
-    return None
+        if g == 1:
+            continue
+        for lo, hi, chunk in _prime_chunks(primes, lo, hi):
+            h = math.gcd(g, chunk)
+            if h == 1:
+                continue
+            for p in primes[lo:hi]:
+                if p > limit:
+                    return
+                if h % p == 0:
+                    yield p
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
@@ -213,11 +219,9 @@ def compositeness_witness(
     """Produce a checkable witness that |n| is composite, or NotComposite.
 
     A composite |n| gets Divisor(p) for the smallest prime
-    p <= min(trial_bound, isqrt|n|) dividing it, found by one gcd per chunk
-    of the primes <= SCREEN_BOUND and one per group of GROUP_CHUNKS chunks
-    past them, splitting only a block that shares a factor.  Without such
-    p, it gets the first Miller-Rabin witness among the fixed bases 2, 3,
-    5, ..., then among random bases.
+    p <= min(trial_bound, isqrt|n|) dividing it, the first that
+    _prime_divisors yields.  Without such p, it gets the first Miller-Rabin
+    witness among the fixed bases 2, 3, 5, ..., then among random bases.
 
     Below MR_DETERMINISTIC_BOUND, is_prime is exact and cheap, so it runs
     first and a prime gets NotComposite before any scan.  At or above it,
@@ -233,7 +237,7 @@ def compositeness_witness(
     if m in (0, 1) or (below and is_prime(m)):
         return NotComposite()
     limit = trial_bound if m >= trial_bound * trial_bound else math.isqrt(m)
-    p = _smallest_prime_factor(m, small_primes(trial_bound), limit)
+    p = next(_prime_divisors(m, small_primes(trial_bound), limit), None)
     if p is not None:
         return Divisor(p)
     bases = MR_DETERMINISTIC_BASES
@@ -322,7 +326,7 @@ def _pollard_brent(n: int, effort: int, rng: random.Random) -> int | None:
 
 def trial_division(n: int) -> Iterator[tuple[int, int]]:
     """Yield (p, e) with p**e exactly dividing |n|, p ascending, for every
-    prime p <= FACTOR_TRIAL_BOUND dividing n, one gcd per chunk of primes.
+    prime p <= FACTOR_TRIAL_BOUND dividing n, read from _prime_divisors.
 
     Runs lazily, so a caller that needs only the smallest primes stops it
     early.  A cofactor that trial division proves prime (it stops once p * p
@@ -334,25 +338,19 @@ def trial_division(n: int) -> Iterator[tuple[int, int]]:
         raise ValueError("cannot factorize 0")
     m = abs(n)
     primes = small_primes(FACTOR_TRIAL_BOUND)
-    for lo, hi, product in _prime_chunks(primes):
-        if primes[lo] ** 2 > m:
+    for p in _prime_divisors(m, primes, math.isqrt(m)):
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        yield p, e
+        if m < p * p:
             break
-        g = math.gcd(m, product)
-        if g == 1:
-            continue
-        for p in primes[lo:hi]:
-            if p * p > m:
-                break
-            if g % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                yield p, e
-    # m has no prime factor below the prime where the loop stopped, and is
-    # below its square when the loop stopped early; when the loop ran through,
-    # a composite m is at least the square of the next prime.  Either way
-    # 1 < m < primes[-1]**2 makes m prime.
+    # When the loop broke, m has no prime factor up to p and is below p * p.
+    # When the walk ran out, m has no prime factor up to min(isqrt|n|,
+    # primes[-1]): past isqrt|n| there is room for only one, and a composite
+    # m with none up to primes[-1] is at least the square of the next prime.
+    # Either way 1 < m < primes[-1]**2 makes m prime.
     if 1 < m < primes[-1] ** 2:
         yield m, 1
 

@@ -117,17 +117,6 @@ def square_gap_holds(a: int, b: int) -> bool:
     return lo < mid < hi
 
 
-def _prime_power_base(n: int) -> int | None:
-    """p when |n| = p^s for a prime p and s >= 1, else None."""
-    n = abs(n)
-    if n < 2:
-        return None
-    fac = factorize(n)
-    if len(fac.factors) == 1:
-        return fac.factors[0][0]
-    return None
-
-
 def _primes_ascending(n: int) -> Iterator[int]:
     """The distinct primes of |n| in increasing order, produced lazily: those
     that trial division finds, then, only for a caller that reads past them,
@@ -150,43 +139,41 @@ def _smallest_primes(n: int, k: int, exclude: tuple[int, ...] = ()) -> list[int]
     return list(islice((p for p in _primes_ascending(n) if p not in exclude), k))
 
 
-def pick_primes_bminus1(a: int, p1: int | None = None) -> tuple[int, int, int, int]:
-    """Four distinct primes for b = -1, |a| = p1^s >= 4.
+def pick_primes_bminus1(a: int, p1: int) -> tuple[Rule, ...]:
+    """Covering rules (p1, 0, 2), (p2, 1, 6), (p3, 3, 6), (p4, 5, 6) for
+    b = -1, |a| = p1^s >= 4.
 
     p1 divides u_2 = a; the others divide u_6 = a(a^2-1)(a^2-3): p4 from
     a^2-3 (not 3, not p1), p2 < p3 the two smallest primes of a^2-1 not yet
     used.  Backtracks to the next admissible p4 when the greedy choice
     starves a^2-1 of two primes.  Each prime is the smallest admissible one,
     so trial division usually finds them all and nothing is factorized.
-    A caller that knows p1 (construct does) passes it; else it is found here.
     """
-    if p1 is None:
-        p1 = _prime_power_base(a)
-    if p1 is None or abs(a) < 4:
+    if abs(a) < 4:
         raise ValueError("requires |a| = p^s >= 4")
     for p4 in (p for p in _primes_ascending(a * a - 3) if p not in (3, p1)):
         rest = _smallest_primes(a * a - 1, 2, (p1, p4))
         if len(rest) == 2:
-            return p1, rest[0], rest[1], p4
+            return Rule(p1, 0, 2), Rule(rest[0], 1, 6), Rule(rest[1], 3, 6), Rule(p4, 5, 6)
     raise ValueError(f"no admissible prime selection for a={a}")  # pragma: no cover
 
 
-def pick_primes_bplus1(a: int, p1: int | None = None) -> tuple[int, ...]:
-    """Primes for b = 1, |a| = p^s >= 6.
+def pick_primes_bplus1(a: int, p1: int) -> tuple[Rule, ...]:
+    """Covering rules for b = 1, |a| = p1^s >= 6.
 
-    p != 3: (p1, 3, p3) with p3 dividing a^2+2, covering with moduli {2, 4}.
-    p == 3: (3, 2, p3, p4) with p3 from the odd part of a^2+1 and p4 from
-    (a^2+3)/12, covering with moduli {2, 6}.  Each prime is the smallest
-    admissible one, and p1 is passed or found, as in pick_primes_bminus1.
+    p1 != 3: (p1, 0, 2), (3, 1, 4), (p3, 3, 4) with p3 dividing a^2+2.
+    p1 == 3: (3, 0, 2), (2, 1, 6), (p3, 3, 6), (p4, 5, 6) with p3 from the
+    odd part of a^2+1 and p4 from (a^2+3)/12.  Each prime is the smallest
+    admissible one, as in pick_primes_bminus1.
     """
-    if p1 is None:
-        p1 = _prime_power_base(a)
-    if p1 is None or abs(a) < 6:
+    if abs(a) < 6:
         raise ValueError("requires |a| = p^s >= 6")
     if p1 != 3:
-        return p1, 3, _smallest_primes(a * a + 2, 1, (3, p1))[0]
+        p3 = _smallest_primes(a * a + 2, 1, (3, p1))[0]
+        return Rule(p1, 0, 2), Rule(3, 1, 4), Rule(p3, 3, 4)
     p3 = _smallest_primes((a * a + 1) // 2, 1)[0]
-    return 3, 2, p3, _smallest_primes((a * a + 3) // 12, 1, (3, 2, p3))[0]
+    p4 = _smallest_primes((a * a + 3) // 12, 1, (3, 2, p3))[0]
+    return Rule(3, 0, 2), Rule(2, 1, 6), Rule(p3, 3, 6), Rule(p4, 5, 6)
 
 
 def derive_seed_from_triples(
@@ -251,29 +238,14 @@ def construct(a: int, b: int) -> ConstructionResult:
             return result(b**4 - 1, b**4, CASE_I, (b * b - 1, 0, 0), tail)
         if not is_prime(abs(b)):
             return result(4 * b**4 - 1, 2 * b * b, CASE_II, (2 * b * b - 1, 0, 0), tail)
-        if abs(a) == 1:
-            x0 = (2 * b * b - 1) ** 2
-            if a == 1 and b > 0:
-                x1 = b * (b * b - 1)
-            elif a == -1 and b < 0:
-                x1 = -b * (b * b - 1)
-            elif a == 1 and b < 0:
-                x1 = -b * (b * b + 1)
-            else:  # a == -1 and b > 0
-                x1 = b * (b * b + 1)
-            return result(x0, x1, CASE_IIIA, (2 * b * b - 1, 0, 0), tail)
         if abs(a) == abs(b):
             return result(4 * b**4 - 1, 2 * b * b, CASE_IIIB, (2 * b * b - 1, 0, 0), tail)
-        # 2 <= |a| < |b|, |b| prime
-        if a > 0 and b > 0:
-            x0, x1 = a**3, b * (b * b - a * a)
-        elif a < 0 and b < 0:
-            x0, x1 = -(a**3), -b * (b * b - a * a)
-        elif a < 0 and b > 0:
-            x0, x1 = -(a**3), b * (b * b + a * a)
-        else:  # a > 0 and b < 0
-            x0, x1 = a**3, -b * (b * b + a * a)
-        return result(x0, x1, CASE_IIIC, (abs(a), 0, 0), tail)
+        # 1 <= |a| < |b|, |b| prime.  The paper gives x1 for each sign of a
+        # and of b; one formula covers all four.
+        x1 = abs(b) * b * b - a * abs(a) * b
+        if abs(a) == 1:
+            return result((2 * b * b - 1) ** 2, x1, CASE_IIIA, (2 * b * b - 1, 0, 0), tail)
+        return result(abs(a) ** 3, x1, CASE_IIIC, (abs(a), 0, 0), tail)
 
     # |b| = 1 from here on.  |a| is factorized once: two primes make
     # TwoPrimeFactors, and one alone is the p of |a| = p^s the pickers need.
@@ -289,20 +261,9 @@ def construct(a: int, b: int) -> ConstructionResult:
         return covering_result(TABLE1[(a, b)][0], TABLE1_STRATEGY)
 
     if b == -1 and abs(a) >= 4:
-        p1, p2, p3, p4 = pick_primes_bminus1(a, base)
-        return covering_result(
-            (Rule(p1, 0, 2), Rule(p2, 1, 6), Rule(p3, 3, 6), Rule(p4, 5, 6)), COVERING_CRT
-        )
-
+        return covering_result(pick_primes_bminus1(a, base), COVERING_CRT)
     if b == 1 and abs(a) >= 6:
-        picked = pick_primes_bplus1(a, base)
-        if len(picked) == 3:
-            p1, p2, p3 = picked
-            rules = (Rule(p1, 0, 2), Rule(p2, 1, 4), Rule(p3, 3, 4))
-        else:
-            p1, p2, p3, p4 = picked
-            rules = (Rule(p1, 0, 2), Rule(p2, 1, 6), Rule(p3, 3, 6), Rule(p4, 5, 6))
-        return covering_result(rules, COVERING_CRT)
+        return covering_result(pick_primes_bplus1(a, base), COVERING_CRT)
 
     if (a, b) == (-1, -1):
         return result(8, 27, PERIODIC3, (2, 0, 3), (3, 1, 3), (5, 2, 3))

@@ -15,8 +15,6 @@ from .arith import EffortExceeded, factorize, is_prime
 from .lucas import LucasContext
 from .recurrence import RecurrenceParams
 
-DEFAULT_MODULI_MENU = (2, 3, 4, 6, 8, 12, 24)
-
 
 class Rule(NamedTuple):
     """d is a proper divisor of |x_n| for n = start, start + step, ...
@@ -75,7 +73,7 @@ def validate_triples(params: RecurrenceParams, rules: Sequence[Rule]) -> tuple[s
     return tuple(failures)
 
 
-# Candidate class templates assembled from the default menu, smallest first.
+# Candidate class templates (m, r), smallest first, with moduli dividing 24.
 # Each is itself a covering system (asserted by the test suite).
 _TEMPLATES: tuple[tuple[tuple[int, int], ...], ...] = (
     ((2, 0), (2, 1)),
@@ -87,22 +85,17 @@ _TEMPLATES: tuple[tuple[tuple[int, int], ...], ...] = (
 )
 
 
-def search_triples(
-    params: RecurrenceParams,
-    moduli_menu: Sequence[int] = DEFAULT_MODULI_MENU,
-    effort: int = 10**6,
-) -> tuple[Rule, ...] | None:
+def search_triples(params: RecurrenceParams) -> tuple[Rule, ...] | None:
     """Deterministic search for valid covering triples with |b| = 1, |a| >= 2.
 
-    Walks the class templates drawn from the menu in order; for each,
-    assigns distinct primes (ascending, from the factorizations of the
-    relevant u_m) to the classes, backtracking as needed.  Returns the
-    first rules passing validate_triples, or None.
+    Walks the class templates in order; for each, assigns distinct primes
+    (ascending, from the factorizations of the relevant u_m) to the classes,
+    backtracking as needed.  Returns the first rules passing
+    validate_triples, or None.
     """
     if abs(params.b) != 1 or abs(params.a) < 2:
         raise ValueError("requires |b| = 1 and |a| >= 2")
     ctx = LucasContext(params)
-    menu = set(moduli_menu)
     prime_pool: dict[int, tuple[int, ...]] = {}
 
     def primes_of_u(m: int) -> tuple[int, ...]:
@@ -112,14 +105,12 @@ def search_triples(
                 prime_pool[m] = ()
             else:
                 try:
-                    prime_pool[m] = factorize(um, effort=effort).primes()
+                    prime_pool[m] = factorize(um).primes()
                 except EffortExceeded:
                     prime_pool[m] = ()
         return prime_pool[m]
 
     for template in _TEMPLATES:
-        if not all(m in menu for m, _ in template):
-            continue
         assignment: list[int] = []
 
         def assign(i: int) -> bool:

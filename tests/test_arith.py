@@ -242,12 +242,31 @@ class TestFactorize:
 
 
 LAST_TRIAL_PRIME = sympy.prevprime(FACTOR_TRIAL_BOUND)
-# Primes at the chunk edges and on both sides of the trial bound and its root.
+# The primes on both sides of each block edge of the walk: the first chunk
+# edge, the end of the screen and the end of the first group; then the last
+# trial prime and the first prime past it.
+BLOCK_EDGE_PRIMES = [
+    sympy.prime(k + i)
+    for k in (CHUNK_PRIMES, SCREEN_CHUNKS * CHUNK_PRIMES, (SCREEN_CHUNKS + GROUP_CHUNKS) * CHUNK_PRIMES)
+    for i in (0, 1)
+] + [LAST_TRIAL_PRIME, sympy.nextprime(FACTOR_TRIAL_BOUND)]
+# Those, and primes on both sides of the root of the trial bound.
 TRIAL_EDGE_PRIMES = sorted(
-    {2, 3, sympy.prime(CHUNK_PRIMES), sympy.prime(CHUNK_PRIMES + 1), LAST_TRIAL_PRIME}
+    {2, 3, *BLOCK_EDGE_PRIMES, sympy.nextprime(FACTOR_TRIAL_BOUND**2)}
     | {f(math.isqrt(FACTOR_TRIAL_BOUND)) for f in (sympy.prevprime, sympy.nextprime)}
-    | {sympy.nextprime(FACTOR_TRIAL_BOUND), sympy.nextprime(FACTOR_TRIAL_BOUND**2)}
 )
+
+
+def assert_prefix_of_factorization(n):
+    """trial_division(n) is a prefix of the factorization of |n| by sympy, and
+    leaves 1 or a cofactor with no prime factor <= FACTOR_TRIAL_BOUND that
+    it could not prove prime."""
+    found = list(trial_division(n))
+    full = sorted(sympy.factorint(abs(n)).items())
+    assert found == full[: len(found)], n
+    assert all(p > FACTOR_TRIAL_BOUND for p, _ in full[len(found) :]), n
+    rest = abs(n) // math.prod(p**e for p, e in found)
+    assert rest == 1 or rest > LAST_TRIAL_PRIME**2, n
 
 
 class TestTrialDivision:
@@ -260,6 +279,13 @@ class TestTrialDivision:
         # q^2 passes every trial prime but is not below LAST_TRIAL_PRIME^2.
         assert list(trial_division(q * q)) == []
         assert list(trial_division(1)) == []
+        # The block edge primes, their squares and cubes, and every product
+        # of two of these.
+        powers = [p**e for p in BLOCK_EDGE_PRIMES for e in (1, 2, 3)]
+        for i, x in enumerate(powers):
+            assert_prefix_of_factorization(x)
+            for y in powers[i + 1 :]:
+                assert_prefix_of_factorization(-x * y)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -267,16 +293,11 @@ class TestTrialDivision:
             st.sampled_from(TRIAL_EDGE_PRIMES) | st.integers(3, 10**9).map(sympy.prevprime),
             max_size=4,
         ),
+        powers=st.lists(st.integers(1, 3), min_size=4, max_size=4),
         sign=st.sampled_from((1, -1)),
     )
-    def test_a_prefix_of_the_factorization(self, primes, sign):
-        n = sign * math.prod(primes)
-        found = list(trial_division(n))
-        full = sorted(sympy.factorint(abs(n)).items())
-        assert found == full[: len(found)]
-        assert all(p > FACTOR_TRIAL_BOUND for p, _ in full[len(found) :])
-        rest = abs(n) // math.prod(p**e for p, e in found)
-        assert rest == 1 or rest > LAST_TRIAL_PRIME**2
+    def test_a_prefix_of_the_factorization(self, primes, powers, sign):
+        assert_prefix_of_factorization(sign * math.prod(p**e for p, e in zip(primes, powers)))
 
 
 class TestCrt:

@@ -55,6 +55,18 @@ class TestClosedFormDegenerate:
                 assert xs[n] != 0
 
 
+def paper_case3_x1(a, b):
+    """x1 of CaseIIIa (|a| = 1) and CaseIIIc (2 <= |a| < |b|) as the paper
+    states it, one formula for each sign of a and of b."""
+    if a > 0 and b > 0:
+        return b * (b * b - a * a)
+    if a < 0 and b < 0:
+        return -b * (b * b - a * a)
+    if a < 0 and b > 0:
+        return b * (b * b + a * a)
+    return -b * (b * b + a * a)  # a > 0 and b < 0
+
+
 class TestPolynomialSeeds:
     def test_case1(self):
         r = C.construct(7, 3)
@@ -72,6 +84,7 @@ class TestPolynomialSeeds:
             assert r.strategy == C.CASE_IIIA
             assert r.seed.x0 == (2 * b * b - 1) ** 2
             assert r.seed.x1 > 0
+            assert r.seed.x1 == paper_case3_x1(a, b)
             # x2 matches the stated closed form up to the subcase
             x2 = terms(r.params, r.seed, 2)[2]
             assert x2 in (b**3 * (4 * b * b - 3), b**3 * (4 * b * b - 5))
@@ -88,6 +101,7 @@ class TestPolynomialSeeds:
             assert r.strategy == C.CASE_IIIC
             assert r.seed.x0 == abs(a) ** 3
             assert r.seed.x1 > 0
+            assert r.seed.x1 == paper_case3_x1(a, b)
 
     def test_case3_terms_divisible_by_b_squared(self):
         for a, b in [(1, 3), (-1, -5), (5, 5), (2, 5), (-3, 7), (4, -13)]:
@@ -126,29 +140,43 @@ class TestSquareGap:
                 assert not is_perfect_square(mid), (a, b)
 
 
+def picks(pick, a):
+    """The primes of pick(a, p1), with p1 the p of |a| = p^s as factorize
+    finds it; asserts the (start, step) of each rule against the template
+    its primes were chosen for."""
+    p1 = factorize(a).primes()[0]
+    rules = pick(a, p1)
+    if pick is C.pick_primes_bplus1 and p1 != 3:
+        template = ((0, 2), (1, 4), (3, 4))
+    else:
+        template = ((0, 2), (1, 6), (3, 6), (5, 6))
+    assert tuple((r.start, r.step) for r in rules) == template, (pick.__name__, a)
+    return tuple(r.d for r in rules)
+
+
 class TestPrimePicks:
     def test_bminus1_examples(self):
-        assert C.pick_primes_bminus1(-9) == (3, 2, 5, 13)
-        assert C.pick_primes_bminus1(4) == (2, 3, 5, 13)
+        assert picks(C.pick_primes_bminus1, -9) == (3, 2, 5, 13)
+        assert picks(C.pick_primes_bminus1, 4) == (2, 3, 5, 13)
         # greedy p4 = 2 starves a^2 - 1 = 24; backtrack lands on 11
-        assert C.pick_primes_bminus1(5) == (5, 2, 3, 11)
+        assert picks(C.pick_primes_bminus1, 5) == (5, 2, 3, 11)
 
     def test_bminus1_distinctness(self):
         for a in [4, 5, 7, 8, 9, 11, 13, 16, -25, 27, -32, 49]:
-            picks = C.pick_primes_bminus1(a)
-            assert len(set(picks)) == 4
-            assert all(is_prime(p) for p in picks)
+            chosen = picks(C.pick_primes_bminus1, a)
+            assert len(set(chosen)) == 4
+            assert all(is_prime(p) for p in chosen)
 
     def test_bplus1_examples(self):
-        assert C.pick_primes_bplus1(8) == (2, 3, 11)
-        assert C.pick_primes_bplus1(-49) == (7, 3, 89)
-        assert C.pick_primes_bplus1(9) == (3, 2, 41, 7)
+        assert picks(C.pick_primes_bplus1, 8) == (2, 3, 11)
+        assert picks(C.pick_primes_bplus1, -49) == (7, 3, 89)
+        assert picks(C.pick_primes_bplus1, 9) == (3, 2, 41, 7)
 
     def test_bplus1_distinctness(self):
         for a in [7, 8, 11, 13, 16, -25, 32, 49, 9, -27, 81]:
-            picks = C.pick_primes_bplus1(a)
-            assert len(set(picks)) == len(picks)
-            assert all(is_prime(p) for p in picks)
+            chosen = picks(C.pick_primes_bplus1, a)
+            assert len(set(chosen)) == len(chosen)
+            assert all(is_prime(p) for p in chosen)
 
 
 def ref_pick_primes_bminus1(a):
@@ -185,7 +213,7 @@ def prime_powers(draw, top=10**12):
 
 
 def picker_factorizations(monkeypatch, pick, a):
-    """pick(a), and the numbers other than a that it factorized on the way."""
+    """picks(pick, a), and the numbers the picker factorized on the way."""
     seen = []
 
     def recording(n, *args, **kwargs):
@@ -193,7 +221,7 @@ def picker_factorizations(monkeypatch, pick, a):
         return factorize(n, *args, **kwargs)
 
     monkeypatch.setattr(C, "factorize", recording)
-    return pick(a), [n for n in seen if abs(n) != abs(a)]
+    return picks(pick, a), seen
 
 
 PICKERS = [
@@ -212,7 +240,7 @@ class TestPickersMatchFullFactorization:
                 expected = ref(a)
             except EffortExceeded:
                 reject()
-            assert pick(a) == expected, (pick.__name__, a)
+            assert picks(pick, a) == expected, (pick.__name__, a)
 
     # a^2 + 2 = 3^k q with q prime just below 10^5: trial division leaves q
     # as its cofactor and proves it prime, so nothing else is factorized.
@@ -244,16 +272,15 @@ class TestPickersMatchFullFactorization:
 
     def test_small_coefficients(self):
         for a in range(-300, 301):
-            p1 = C._prime_power_base(a)
-            if p1 is None:
+            if abs(a) < 2 or len(factorize(a).primes()) != 1:
                 continue
             for (pick, ref), least in zip(PICKERS, (4, 6)):
                 if abs(a) >= least:
-                    assert pick(a) == ref(a), (pick.__name__, a)
+                    assert picks(pick, a) == ref(a), (pick.__name__, a)
 
 
 # construct factorizes |a| once and hands the p of |a| = p^s to the picker,
-# which factorizes it again only when called with a alone.
+# which never factorizes |a|.
 @pytest.mark.parametrize(
     "a, b, p",
     [
