@@ -2,12 +2,13 @@
 
 Primality testing, compositeness witnesses, factorization, perfect-square
 detection, and a Chinese remainder solver.  Everything here is a pure
-function of its inputs; the only randomness is the explicitly passed RNG
-used for Miller-Rabin rounds above the deterministic range.
+function of its inputs: the random Miller-Rabin bases and Pollard-Brent
+starts come from generators with fixed seeds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from bisect import bisect_left
@@ -32,11 +33,13 @@ class SearchExhausted(RuntimeError):
 MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 MR_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-DEFAULT_MR_ROUNDS = 64
+# Random Miller-Rabin rounds at or above MR_DETERMINISTIC_BOUND.
+MR_ROUNDS = 64
 DEFAULT_TRIAL_BOUND = 10**6
-# factorize divides by the primes up to this bound before Pollard-Brent.
+# trial_division divides by the primes up to this bound before Pollard-Brent.
 FACTOR_TRIAL_BOUND = 10**5
-DEFAULT_RHO_EFFORT = 10**6
+# Pollard-Brent iterations per attempt before a cofactor counts as resisting.
+RHO_EFFORT = 10**6
 COPRIME_SHIFT_CAP = 10**6
 
 # is_prime answers n <= SCREEN_BOUND from the sieve and, above it, rejects
@@ -46,12 +49,14 @@ SCREEN_BOUND = 4096
 # exactly the first four chunks, so the screen needs no partial product.
 CHUNK_PRIMES = 141
 SCREEN_CHUNKS = 4
-# Chunks per group past the screen: _prime_divisors takes one gcd per group
-# there and splits only a group that shares a factor into its chunks.
+# Chunks per group past the screen: _smallest_prime_divisor takes one gcd per
+# group there and splits only a group that shares a factor into its chunks.
 GROUP_CHUNKS = 16
 
 
-def _sieve(limit: int) -> list[int]:
+@functools.cache
+def small_primes(limit: int) -> list[int]:
+    """Primes up to limit by a sieve, cached."""
     flags = bytearray([1]) * (limit + 1)
     flags[0:2] = b"\x00\x00"
     for p in range(2, math.isqrt(limit) + 1):
@@ -60,83 +65,49 @@ def _sieve(limit: int) -> list[int]:
     return [i for i in range(limit + 1) if flags[i]]
 
 
-_small_primes_cache: dict[int, list[int]] = {}
+# (lo, hi) -> product of the primes with indices [lo, hi).  Every small_primes
+# list is a prefix of the same sequence, so one key serves every list; a
+# block is built the first time a walk reaches it.
+_block_products: dict[tuple[int, int], int] = {}
 
 
-def small_primes(limit: int = DEFAULT_TRIAL_BOUND) -> list[int]:
-    """Primes up to limit, cached."""
-    if limit not in _small_primes_cache:
-        _small_primes_cache[limit] = _sieve(limit)
-    return _small_primes_cache[limit]
+def _block_product(primes: list[int], lo: int, hi: int) -> int:
+    """Product of primes[lo:hi], cached; a block longer than one chunk is
+    multiplied out of its chunks' products."""
+    product = _block_products.get((lo, hi))
+    if product is None:
+        if hi - lo > CHUNK_PRIMES:
+            chunks = range(lo, hi, CHUNK_PRIMES)
+            product = math.prod(_block_product(primes, c, min(c + CHUNK_PRIMES, hi)) for c in chunks)
+        else:
+            product = math.prod(primes[lo:hi])
+        _block_products[lo, hi] = product
+    return product
 
 
-# Chunk k -> product of primes with indices [k * CHUNK_PRIMES, (k + 1) * CHUNK_PRIMES).
-# Every small_primes list is a prefix of the same sequence, so one table
-# serves all of them; chunks are built when a scan first reaches them.
-_chunk_products: dict[int, int] = {}
-# (lo, hi) -> product of primes with indices [lo, hi), for each group of
-# chunks past the screen that _prime_divisors has reached.
-_group_products: dict[tuple[int, int], int] = {}
+def _smallest_prime_divisor(m: int, primes: list[int], limit: int) -> int | None:
+    """The smallest p in `primes`, a list from small_primes, with p <= limit
+    that divides m, or None.
 
-
-def _prime_chunks(primes: list[int], start: int = 0, stop: int | None = None):
-    """Yield (lo, hi, product of primes[lo:hi]) over consecutive chunks of
-    primes[start:stop], for `primes` a list from small_primes and `start` a
-    multiple of CHUNK_PRIMES.  A chunk cut short by `stop` or by the end of
-    the list is multiplied out on each visit rather than cached."""
-    stop = len(primes) if stop is None else min(stop, len(primes))
-    for lo in range(start, stop, CHUNK_PRIMES):
-        hi = lo + CHUNK_PRIMES
-        if hi > stop:
-            yield lo, stop, math.prod(primes[lo:stop])
-            return
-        k = lo // CHUNK_PRIMES
-        product = _chunk_products.get(k)
-        if product is None:
-            product = _chunk_products[k] = math.prod(primes[lo:hi])
-        yield lo, hi, product
-
-
-def _prime_groups(primes: list[int]):
-    """Yield (lo, hi, product of primes[lo:hi]) over `primes`, a list from
-    small_primes: the screen's chunks one by one, then groups of
-    GROUP_CHUNKS chunks, the last one cut short where the list ends.  A
-    group's product is multiplied out of its chunk products the first time
-    a scan reaches it."""
+    One gcd per chunk of the screen, then one per group of GROUP_CHUNKS
+    chunks, the last cut short where the list ends.  Only a block that shares
+    a factor with m is split, and only the first of its chunks that shares
+    one is scanned prime by prime.
+    """
     screen = SCREEN_CHUNKS * CHUNK_PRIMES
-    yield from _prime_chunks(primes, 0, screen)
-    for lo in range(screen, len(primes), GROUP_CHUNKS * CHUNK_PRIMES):
-        hi = min(lo + GROUP_CHUNKS * CHUNK_PRIMES, len(primes))
-        product = _group_products.get((lo, hi))
-        if product is None:
-            product = _group_products[lo, hi] = math.prod(
-                chunk for _, _, chunk in _prime_chunks(primes, lo, hi)
-            )
-        yield lo, hi, product
-
-
-def _prime_divisors(m: int, primes: list[int], limit: int) -> Iterator[int]:
-    """Yield, in increasing order, the p in `primes` with p <= limit that
-    divide m.
-
-    One gcd per block of _prime_groups; only a block that shares a factor
-    with m is split into its chunks, and only a chunk that shares one is
-    searched prime by prime."""
-    for lo, hi, product in _prime_groups(primes):
-        if primes[lo] > limit:
-            return
-        g = math.gcd(m, product)
+    lo = 0
+    while lo < len(primes) and primes[lo] <= limit:
+        hi = min(lo + (CHUNK_PRIMES if lo < screen else GROUP_CHUNKS * CHUNK_PRIMES), len(primes))
+        g = math.gcd(m, _block_product(primes, lo, hi))
         if g == 1:
+            lo = hi
             continue
-        for lo, hi, chunk in _prime_chunks(primes, lo, hi):
-            h = math.gcd(g, chunk)
-            if h == 1:
-                continue
-            for p in primes[lo:hi]:
-                if p > limit:
-                    return
-                if h % p == 0:
-                    yield p
+        while math.gcd(g, _block_product(primes, lo, min(lo + CHUNK_PRIMES, hi))) == 1:
+            lo += CHUNK_PRIMES
+        for p in primes[lo : lo + CHUNK_PRIMES]:
+            if g % p == 0:
+                return p if p <= limit else None
+    return None
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
@@ -158,27 +129,28 @@ def _strong_probable_prime(n: int, base: int) -> bool:
     return False
 
 
-def is_prime(n: int, rounds: int = DEFAULT_MR_ROUNDS, rng: random.Random | None = None) -> bool:
+def is_prime(n: int) -> bool:
     """Primality test.
 
     n <= SCREEN_BOUND is looked up in the sieve.  Above it, n is composite
     when gcd(n, product of the primes <= SCREEN_BOUND) != 1, taken chunk by
-    chunk, so a composite with a small factor costs a few gcds and no
-    modular exponentiation.  Only n that passes this screen reaches
-    Miller-Rabin: deterministic (fixed base set) below MR_DETERMINISTIC_BOUND,
-    `rounds` random bases from `rng` above it.
+    chunk from the block cache, so a composite with a small factor costs a
+    few gcds and no modular exponentiation.  Only n that passes this screen
+    reaches Miller-Rabin: deterministic (fixed base set) below
+    MR_DETERMINISTIC_BOUND, MR_ROUNDS random bases from Random(0xC0FFEE)
+    above it.
     """
     screen = small_primes(SCREEN_BOUND)
     if n <= SCREEN_BOUND:
         i = bisect_left(screen, n)
         return i < len(screen) and screen[i] == n
-    for _, _, product in _prime_chunks(screen):
-        if math.gcd(n, product) != 1:
+    for lo in range(0, len(screen), CHUNK_PRIMES):
+        if math.gcd(n, _block_product(screen, lo, lo + CHUNK_PRIMES)) != 1:
             return False
     if n < MR_DETERMINISTIC_BOUND:
         return all(_strong_probable_prime(n, a) for a in MR_DETERMINISTIC_BASES)
-    rng = rng or random.Random(0xC0FFEE)
-    for _ in range(rounds):
+    rng = random.Random(0xC0FFEE)
+    for _ in range(MR_ROUNDS):
         a = rng.randrange(2, n - 1)
         if not _strong_probable_prime(n, a):
             return False
@@ -211,46 +183,39 @@ class NotComposite:
 Witness = Divisor | MillerRabinBase | NotComposite
 
 
-def compositeness_witness(
-    n: int,
-    trial_bound: int = DEFAULT_TRIAL_BOUND,
-    rng: random.Random | None = None,
-) -> Witness:
+def compositeness_witness(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> Witness:
     """Produce a checkable witness that |n| is composite, or NotComposite.
 
     A composite |n| gets Divisor(p) for the smallest prime
-    p <= min(trial_bound, isqrt|n|) dividing it, the first that
-    _prime_divisors yields.  Without such p, it gets the first Miller-Rabin
-    witness among the fixed bases 2, 3, 5, ..., then among random bases.
+    p <= min(trial_bound, isqrt|n|) dividing it, from _smallest_prime_divisor.
+    Without such p, it gets the first Miller-Rabin witness among the fixed
+    bases 2, 3, 5, ..., then among random bases from Random(0xC0FFEE).
 
     Below MR_DETERMINISTIC_BOUND, is_prime is exact and cheap, so it runs
     first and a prime gets NotComposite before any scan.  At or above it,
     the definite certificates come first: the divisor scan, then base 2.
     Only when base 2 is a liar does the probabilistic is_prime run (a
     probable prime gets NotComposite), and the search go on from base 3.
-    So `rng` is drawn from only for such n: by is_prime's rounds, then for
-    random witness bases past the fixed ones.  When `rng` is None, each of
-    the two starts its own Random(0xC0FFEE).
     """
     m = abs(n)
     below = m < MR_DETERMINISTIC_BOUND
     if m in (0, 1) or (below and is_prime(m)):
         return NotComposite()
     limit = trial_bound if m >= trial_bound * trial_bound else math.isqrt(m)
-    p = next(_prime_divisors(m, small_primes(trial_bound), limit), None)
+    p = _smallest_prime_divisor(m, small_primes(trial_bound), limit)
     if p is not None:
         return Divisor(p)
     bases = MR_DETERMINISTIC_BASES
     if not below:
         if not _strong_probable_prime(m, 2):
             return MillerRabinBase(2)
-        if is_prime(m, rng=rng):
+        if is_prime(m):
             return NotComposite()
         bases = bases[1:]
     for a in bases:
         if not _strong_probable_prime(m, a):
             return MillerRabinBase(a)
-    rng = rng or random.Random(0xC0FFEE)
+    rng = random.Random(0xC0FFEE)
     for _ in range(10_000):
         a = rng.randrange(2, m - 1)
         if not _strong_probable_prime(m, a):
@@ -287,7 +252,7 @@ class PrimeFactorization:
         return tuple(p for p, _ in self.factors)
 
 
-def _pollard_brent(n: int, effort: int, rng: random.Random) -> int | None:
+def _pollard_brent(n: int, rng: random.Random) -> int | None:
     """Brent's variant of Pollard rho; returns a nontrivial factor or None."""
     if n % 2 == 0:
         return 2
@@ -312,7 +277,7 @@ def _pollard_brent(n: int, effort: int, rng: random.Random) -> int | None:
                 k += m
             r *= 2
             count += r
-            if count > effort:
+            if count > RHO_EFFORT:
                 break
         if g == n:
             g = 1
@@ -326,60 +291,66 @@ def _pollard_brent(n: int, effort: int, rng: random.Random) -> int | None:
 
 def trial_division(n: int) -> Iterator[tuple[int, int]]:
     """Yield (p, e) with p**e exactly dividing |n|, p ascending, for every
-    prime p <= FACTOR_TRIAL_BOUND dividing n, read from _prime_divisors.
+    prime p <= FACTOR_TRIAL_BOUND dividing n.
 
-    Runs lazily, so a caller that needs only the smallest primes stops it
-    early.  A cofactor that trial division proves prime (it stops once p * p
-    exceeds the cofactor) is yielded last, whatever its size.  Otherwise
-    what is left, |n| divided by every yielded p**e, is 1 or has no prime
-    factor <= FACTOR_TRIAL_BOUND, and is not factored here.
+    Each p is the smallest prime divisor of the current cofactor m up to
+    isqrt(m), from _smallest_prime_divisor; the walk stops when there is
+    none.  Runs lazily, so a caller that needs only the smallest primes
+    stops it early.  A cofactor below the square of the last trial prime
+    then has no prime factor up to its root, so it is prime and is yielded
+    last, whatever its size.  Otherwise what is left, |n| divided by every
+    yielded p**e, is 1 or has no prime factor <= FACTOR_TRIAL_BOUND, and is
+    not factored here.
     """
     if n == 0:
         raise ValueError("cannot factorize 0")
     m = abs(n)
     primes = small_primes(FACTOR_TRIAL_BOUND)
-    for p in _prime_divisors(m, primes, math.isqrt(m)):
+    while (p := _smallest_prime_divisor(m, primes, math.isqrt(m))) is not None:
         e = 0
         while m % p == 0:
             m //= p
             e += 1
         yield p, e
-        if m < p * p:
-            break
-    # When the loop broke, m has no prime factor up to p and is below p * p.
-    # When the walk ran out, m has no prime factor up to min(isqrt|n|,
-    # primes[-1]): past isqrt|n| there is room for only one, and a composite
-    # m with none up to primes[-1] is at least the square of the next prime.
-    # Either way 1 < m < primes[-1]**2 makes m prime.
     if 1 < m < primes[-1] ** 2:
         yield m, 1
 
 
-def factorize(
-    n: int,
-    effort: int = DEFAULT_RHO_EFFORT,
-    rng: random.Random | None = None,
-) -> PrimeFactorization:
-    """Complete prime factorization of |n|: trial_division, then Pollard-Brent
-    splitting of the cofactor it leaves.
+def prime_factors(n: int) -> Iterator[tuple[int, int]]:
+    """Yield (p, e) with p**e exactly dividing |n| for every prime p of |n|,
+    p ascending: trial_division's pairs, then the Pollard-Brent split of the
+    cofactor it leaves, sorted.
 
-    Raises EffortExceeded when a composite cofactor resists splitting within
-    the effort bound.
+    Runs lazily: a caller that stops inside trial_division's pairs never
+    starts Pollard-Brent.  Raises EffortExceeded when a composite cofactor
+    resists splitting within RHO_EFFORT.
     """
-    counts = dict(trial_division(n))
-    rng = rng or random.Random(0xFAC70)
-    m = abs(n) // math.prod(p**e for p, e in counts.items())
+    m = abs(n)
+    for p, e in trial_division(n):
+        yield p, e
+        m //= p**e
+    counts: dict[int, int] = {}
+    rng = random.Random(0xFAC70)
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()
         if is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
-        d = _pollard_brent(m, effort, rng)
+        d = _pollard_brent(m, rng)
         if d is None:
             raise EffortExceeded(f"could not split {m}")
         stack.extend((d, m // d))
-    return PrimeFactorization(n, tuple(sorted(counts.items())))
+    yield from sorted(counts.items())
+
+
+def factorize(n: int) -> PrimeFactorization:
+    """Complete prime factorization of |n|, collected from prime_factors.
+
+    Raises EffortExceeded when a composite cofactor resists splitting within
+    RHO_EFFORT.
+    """
+    return PrimeFactorization(n, tuple(prime_factors(n)))
 
 
 def crt_solve(system: list[tuple[int, int]]) -> tuple[int, int]:
@@ -397,24 +368,16 @@ def crt_solve(system: list[tuple[int, int]]) -> tuple[int, int]:
     return x, mod
 
 
-def coprime_shift(
-    n1: int,
-    n2: int,
-    n3: int,
-    require_greater: bool = False,
-    cap: int = COPRIME_SHIFT_CAP,
-) -> int:
-    """Smallest k >= 0 with gcd(n1, n2 + k*n3) = 1 (and n2 + k*n3 > n1 if asked).
+def coprime_shift(n1: int, n2: int, n3: int) -> int:
+    """Smallest k >= 0 with n2 + k*n3 > n1 and gcd(n1, n2 + k*n3) = 1.
 
     Existence is guaranteed when no prime divides all three inputs; hitting
-    the cap therefore signals a caller bug.
+    COPRIME_SHIFT_CAP therefore signals a caller bug.
     """
     if n1 <= 0 or n3 <= 0 or n2 < 0:
         raise ValueError("need n1 > 0, n2 >= 0, n3 > 0")
-    for k in range(cap):
+    for k in range(COPRIME_SHIFT_CAP):
         v = n2 + k * n3
-        if require_greater and v <= n1:
-            continue
-        if math.gcd(n1, v) == 1:
+        if v > n1 and math.gcd(n1, v) == 1:
             return k
-    raise SearchExhausted(f"no admissible k below {cap} for ({n1}, {n2}, {n3})")
+    raise SearchExhausted(f"no admissible k below {COPRIME_SHIFT_CAP} for ({n1}, {n2}, {n3})")

@@ -7,7 +7,8 @@ decimal digits than Python converts to text, 4300 by default; ask for
 fewer terms or a smaller index), 5 effort exceeded (a number the command
 had to factorize resisted the factoring effort bound), 6 internal error
 (a search ran out of candidates or an internal check failed; a bug to
-report).  Pass/fail is signalled only through the exit code; --json emits
+report), 7 output not written (stdout was closed, or the -o file could not
+be written).  Pass/fail is signalled only through the exit code; --json emits
 machine-readable output.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import constructor as C
@@ -30,6 +32,7 @@ EXIT_USAGE = 3
 EXIT_TOO_LARGE = 4
 EXIT_EFFORT = 5
 EXIT_INTERNAL = 6
+EXIT_OUTPUT = 7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,8 +61,15 @@ def _emit(payload: dict, args) -> None:
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except OSError:
+        # What stdout still buffers would fail again in the flush at exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
 
 
 def _render(payload: dict, indent: int = 0) -> str:
@@ -223,6 +233,9 @@ def main(argv=None) -> int:
     except (SearchExhausted, AssertionError) as exc:
         print(f"error: internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
+    except OSError as exc:  # only writing the output does I/O
+        print(f"error: output could not be written: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

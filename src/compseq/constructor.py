@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
 
-from .arith import coprime_shift, crt_solve, factorize, is_prime, trial_division
+from .arith import coprime_shift, crt_solve, factorize, is_prime, prime_factors
 from .covering import Rule, validate_triples
 from .lucas import LucasContext
 from .recurrence import RecurrenceParams, SeedPair
@@ -117,26 +116,10 @@ def square_gap_holds(a: int, b: int) -> bool:
     return lo < mid < hi
 
 
-def _primes_ascending(n: int) -> Iterator[int]:
-    """The distinct primes of |n| in increasing order, produced lazily: those
-    that trial division finds, then, only for a caller that reads past them,
-    the primes of the full factorization of the cofactor it leaves.
-
-    Every prime of that cofactor exceeds every prime trial division finds,
-    so a caller that stops early has read a prefix of factorize(n).primes().
-    """
-    m = abs(n)
-    for p, e in trial_division(n):
-        yield p
-        m //= p**e
-    if m > 1:
-        yield from factorize(m).primes()
-
-
 def _smallest_primes(n: int, k: int, exclude: tuple[int, ...] = ()) -> list[int]:
-    """The k smallest primes of |n| not in `exclude`; fewer when there are
-    not k of them."""
-    return list(islice((p for p in _primes_ascending(n) if p not in exclude), k))
+    """The k smallest primes of |n| not in `exclude`, read lazily from
+    prime_factors; fewer when there are not k of them."""
+    return list(islice((p for p, _ in prime_factors(n) if p not in exclude), k))
 
 
 def pick_primes_bminus1(a: int, p1: int) -> tuple[Rule, ...]:
@@ -147,11 +130,11 @@ def pick_primes_bminus1(a: int, p1: int) -> tuple[Rule, ...]:
     a^2-3 (not 3, not p1), p2 < p3 the two smallest primes of a^2-1 not yet
     used.  Backtracks to the next admissible p4 when the greedy choice
     starves a^2-1 of two primes.  Each prime is the smallest admissible one,
-    so trial division usually finds them all and nothing is factorized.
+    so trial division usually finds them all and Pollard-Brent never runs.
     """
     if abs(a) < 4:
         raise ValueError("requires |a| = p^s >= 4")
-    for p4 in (p for p in _primes_ascending(a * a - 3) if p not in (3, p1)):
+    for p4 in (p for p, _ in prime_factors(a * a - 3) if p not in (3, p1)):
         rest = _smallest_primes(a * a - 1, 2, (p1, p4))
         if len(rest) == 2:
             return Rule(p1, 0, 2), Rule(rest[0], 1, 6), Rule(rest[1], 3, 6), Rule(p4, 5, 6)
@@ -190,7 +173,7 @@ def derive_seed_from_triples(
     y, P = crt_solve([(ctx.u(m - r) % p, p) for p, r, m in rules])
     z, _ = crt_solve([(ctx.u(m - r + 1) % p, p) for p, r, m in rules])
     x0 = y if (y > max(p for p, _, _ in rules) and y >= 2) else y + P
-    k = coprime_shift(x0, z, P, require_greater=True)
+    k = coprime_shift(x0, z, P)
     x1 = z + k * P
     return SeedPair(x0, x1), P, y, z
 

@@ -1,11 +1,13 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compseq import arith
 from compseq.arith import (
     CHUNK_PRIMES,
     DEFAULT_TRIAL_BOUND,
@@ -27,6 +29,7 @@ from compseq.arith import (
     factorize,
     is_perfect_square,
     is_prime,
+    prime_factors,
     small_primes,
     sqrt_if_square,
     trial_division,
@@ -260,9 +263,10 @@ TRIAL_EDGE_PRIMES = sorted(
 def assert_prefix_of_factorization(n):
     """trial_division(n) is a prefix of the factorization of |n| by sympy, and
     leaves 1 or a cofactor with no prime factor <= FACTOR_TRIAL_BOUND that
-    it could not prove prime."""
+    it could not prove prime; prime_factors(n) is the whole of it."""
     found = list(trial_division(n))
     full = sorted(sympy.factorint(abs(n)).items())
+    assert list(prime_factors(n)) == full, n
     assert found == full[: len(found)], n
     assert all(p > FACTOR_TRIAL_BOUND for p, _ in full[len(found) :]), n
     rest = abs(n) // math.prod(p**e for p, e in found)
@@ -287,6 +291,21 @@ class TestTrialDivision:
             for y in powers[i + 1 :]:
                 assert_prefix_of_factorization(-x * y)
 
+    def test_walk_stops_at_the_root_of_the_cofactor(self, monkeypatch):
+        # Once 2**40 is divided out, the cofactor 1000003 needs primes up to
+        # its root 1000 only: no gcd with a block whose primes all exceed it.
+        below_root = math.prod(small_primes(1000))
+        seen = []
+
+        def gcd(x, y):
+            seen.append(y)
+            return math.gcd(x, y)
+
+        monkeypatch.setattr(arith, "math", SimpleNamespace(**{**vars(math), "gcd": gcd}))
+        assert list(trial_division(2**40 * 1000003)) == [(2, 40), (1000003, 1)]
+        assert seen
+        assert not [y.bit_length() for y in seen if math.gcd(y, below_root) == 1]
+
     @settings(max_examples=100, deadline=None)
     @given(
         primes=st.lists(
@@ -298,6 +317,29 @@ class TestTrialDivision:
     )
     def test_a_prefix_of_the_factorization(self, primes, powers, sign):
         assert_prefix_of_factorization(sign * math.prod(p**e for p, e in zip(primes, powers)))
+
+
+class TestPrimeFactors:
+    # Products of up to three factors below 10^8, so n < 10^24 and no
+    # cofactor can resist Pollard-Brent's effort bound.
+    @settings(max_examples=200, deadline=None)
+    @given(parts=st.lists(st.integers(1, 10**8), min_size=1, max_size=3), sign=st.sampled_from((1, -1)))
+    def test_matches_sympy(self, parts, sign):
+        n = sign * math.prod(parts)
+        assert list(prime_factors(n)) == sorted(sympy.factorint(abs(n)).items())
+
+    def test_lazy_past_trial_division(self, monkeypatch):
+        # 12 * p * q: trial division yields 2 and 3 and leaves p * q, which
+        # only the Pollard-Brent stage could split.
+        def refuse(*args):
+            raise AssertionError("Pollard-Brent ran")
+
+        monkeypatch.setattr(arith, "_pollard_brent", refuse)
+        n = 12 * sympy.nextprime(10**12) * sympy.nextprime(10**13)
+        stream = prime_factors(n)
+        assert [next(stream), next(stream)] == [(2, 2), (3, 1)]
+        with pytest.raises(AssertionError, match="Pollard-Brent ran"):
+            next(stream)
 
 
 class TestCrt:
@@ -340,12 +382,12 @@ class TestCrt:
 
 class TestCoprimeShift:
     def test_paper_examples(self):
-        assert coprime_shift(56, 63, 66, require_greater=True) == 1
-        assert coprime_shift(980, 1464, 1869, require_greater=True) == 1
-        assert coprime_shift(4, 1, 4, require_greater=True) == 1
+        assert coprime_shift(56, 63, 66) == 1
+        assert coprime_shift(980, 1464, 1869) == 1
+        assert coprime_shift(4, 1, 4) == 1
 
     def test_k_zero_when_already_coprime(self):
-        assert coprime_shift(105, 134, 390, require_greater=True) == 0
+        assert coprime_shift(105, 134, 390) == 0
 
     def test_result_is_coprime(self):
         rng = random.Random(7)
@@ -356,11 +398,12 @@ class TestCoprimeShift:
             if math.gcd(n1, math.gcd(n2, n3)) != 1:
                 continue
             k = coprime_shift(n1, n2, n3)
-            assert math.gcd(n1, n2 + k * n3) == 1
+            assert n2 + k * n3 > n1 and math.gcd(n1, n2 + k * n3) == 1
 
-    def test_exhaustion_is_signalled(self):
-        with pytest.raises(SearchExhausted):
-            coprime_shift(6, 0, 6, cap=10)
+    def test_exhaustion_is_signalled(self, monkeypatch):
+        monkeypatch.setattr(arith, "COPRIME_SHIFT_CAP", 10)
+        with pytest.raises(SearchExhausted, match="below 10 "):
+            coprime_shift(6, 0, 6)
 
 
 def test_small_primes_sieve():

@@ -1,16 +1,21 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import compseq
 from compseq.cli import (
     EXIT_EFFORT,
     EXIT_FAIL,
     EXIT_INTERNAL,
     EXIT_NOT_CONSTRUCTIBLE,
+    EXIT_OUTPUT,
     EXIT_PASS,
     EXIT_TOO_LARGE,
     EXIT_USAGE,
@@ -204,6 +209,35 @@ class TestOther:
         assert code == 0
         assert json.loads(path.read_text())["u"]["value"] == "55"
 
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_output_file_exit_code(self, capsys, tmp_path, target):
+        path = tmp_path / target
+        assert main(["lucas", "-a", "1", "-b", "1", "-n", "10", "--json", "-o", str(path)]) == EXIT_OUTPUT == 7
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: output could not be written: ")
+        assert str(path) in captured.err
+
+    def test_closed_stdout_exit_code(self):
+        # As the console script runs it, with the read end of its stdout pipe
+        # closed before it writes: no traceback, and no "Exception ignored"
+        # from the flush at exit.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(compseq.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        script = "import sys; from compseq.cli import main; sys.exit(main())"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "lucas", "-a", "1", "-b", "1", "-n", "10", "--json"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_OUTPUT
+        assert proc.stderr == "error: output could not be written: [Errno 32] Broken pipe\n"
+
     def test_one_parser_serves_many_calls(self, capsys):
         assert build_parser() is build_parser()
         assert main(["construct", "-a", "notanint", "-b", "1"]) == 3
@@ -247,7 +281,7 @@ SUBCOMMAND_FLAGS = {
 }
 DOCUMENTED_EXIT_CODES = {
     EXIT_PASS, EXIT_FAIL, EXIT_NOT_CONSTRUCTIBLE, EXIT_USAGE, EXIT_TOO_LARGE, EXIT_EFFORT,
-    EXIT_INTERNAL,
+    EXIT_INTERNAL, EXIT_OUTPUT,
 }
 
 

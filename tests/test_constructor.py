@@ -5,8 +5,9 @@ import sympy
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
+from compseq import arith
 from compseq import constructor as C
-from compseq.arith import EffortExceeded, factorize, is_perfect_square, is_prime
+from compseq.arith import FACTOR_TRIAL_BOUND, EffortExceeded, factorize, is_perfect_square, is_prime
 from compseq.recurrence import RecurrenceParams, SeedPair, terms
 from compseq.verifier import verify_construction
 
@@ -212,15 +213,17 @@ def prime_powers(draw, top=10**12):
     return draw(st.sampled_from((1, -1))) * p**s
 
 
-def picker_factorizations(monkeypatch, pick, a):
-    """picks(pick, a), and the numbers the picker factorized on the way."""
+def picker_cofactors(monkeypatch, pick, a):
+    """picks(pick, a), and the cofactors that reached the Pollard-Brent stage
+    of arith.prime_factors on the way (the stage tests each with is_prime;
+    trial division calls no is_prime)."""
     seen = []
 
-    def recording(n, *args, **kwargs):
+    def recording(n):
         seen.append(n)
-        return factorize(n, *args, **kwargs)
+        return is_prime(n)
 
-    monkeypatch.setattr(C, "factorize", recording)
+    monkeypatch.setattr(arith, "is_prime", recording)
     return picks(pick, a), seen
 
 
@@ -243,18 +246,19 @@ class TestPickersMatchFullFactorization:
             assert picks(pick, a) == expected, (pick.__name__, a)
 
     # a^2 + 2 = 3^k q with q prime just below 10^5: trial division leaves q
-    # as its cofactor and proves it prime, so nothing else is factorized.
+    # as its cofactor and proves it prime, so Pollard-Brent never starts.
     @pytest.mark.parametrize("a", [521, -541, 941])
     def test_prime_cofactor_below_the_trial_bound(self, monkeypatch, a):
-        picked, factorized = picker_factorizations(monkeypatch, C.pick_primes_bplus1, a)
+        picked, cofactors = picker_cofactors(monkeypatch, C.pick_primes_bplus1, a)
         assert picked == ref_pick_primes_bplus1(a)
         assert 9 * 10**4 < picked[2] < 10**5
         assert set(sympy.factorint(a * a + 2)) == {3, picked[2]}
-        assert factorized == []
+        assert cofactors == []
 
-    # Trial division finds too few admissible primes, so the picker factorizes
-    # the cofactor it leaves: of a^2+2, prime (583782940679) or composite
-    # (-175669030073); of a^2-1 (518750281723, -3^13); of (a^2+1)/2 (3^12).
+    # Trial division finds too few admissible primes, so the picker reads on
+    # into the Pollard-Brent split of the cofactor it leaves: of a^2+2, prime
+    # (583782940679) or composite (-175669030073); of a^2-1 (518750281723,
+    # -3^13); of (a^2+1)/2 (3^12).
     @pytest.mark.parametrize(
         "pick, ref, a",
         [
@@ -266,9 +270,10 @@ class TestPickersMatchFullFactorization:
         ],
     )
     def test_fallback_to_factorize(self, monkeypatch, pick, ref, a):
-        picked, factorized = picker_factorizations(monkeypatch, pick, a)
+        picked, cofactors = picker_cofactors(monkeypatch, pick, a)
         assert picked == ref(a)
-        assert factorized
+        assert set(cofactors) - {abs(a)}
+        assert any(p > FACTOR_TRIAL_BOUND for p in picked[1:])
 
     def test_small_coefficients(self):
         for a in range(-300, 301):
