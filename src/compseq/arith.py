@@ -13,7 +13,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class NonCoprimeModuli(ValueError):
@@ -35,7 +35,8 @@ MR_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # Random Miller-Rabin rounds at or above MR_DETERMINISTIC_BOUND.
 MR_ROUNDS = 64
-DEFAULT_TRIAL_BOUND = 10**6
+# compositeness_witness divides by the primes up to this bound before Miller-Rabin.
+TRIAL_BOUND = 10**6
 # trial_division divides by the primes up to this bound before Pollard-Brent.
 FACTOR_TRIAL_BOUND = 10**5
 # Pollard-Brent iterations per attempt before a cofactor counts as resisting.
@@ -183,11 +184,25 @@ class NotComposite:
 Witness = Divisor | MillerRabinBase | NotComposite
 
 
-def compositeness_witness(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> Witness:
+class CompositenessCertificate(NamedTuple):
+    """Why |x_index| is composite: term is x_index, witness its certificate.
+
+    The one record of a certified term: `verifier.verify` makes one per
+    term of a recurrence, and `lucas.composite_scan` one per Lucas term
+    u_index.  An immutable, hashable tuple record, like covering.Rule, so
+    that it costs no more than a tuple; `_replace` gives an edited copy.
+    """
+
+    index: int
+    term: int
+    witness: Witness
+
+
+def compositeness_witness(n: int) -> Witness:
     """Produce a checkable witness that |n| is composite, or NotComposite.
 
     A composite |n| gets Divisor(p) for the smallest prime
-    p <= min(trial_bound, isqrt|n|) dividing it, from _smallest_prime_divisor.
+    p <= min(TRIAL_BOUND, isqrt|n|) dividing it, from _smallest_prime_divisor.
     Without such p, it gets the first Miller-Rabin witness among the fixed
     bases 2, 3, 5, ..., then among random bases from Random(0xC0FFEE).
 
@@ -201,8 +216,8 @@ def compositeness_witness(n: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> Wit
     below = m < MR_DETERMINISTIC_BOUND
     if m in (0, 1) or (below and is_prime(m)):
         return NotComposite()
-    limit = trial_bound if m >= trial_bound * trial_bound else math.isqrt(m)
-    p = _smallest_prime_divisor(m, small_primes(trial_bound), limit)
+    limit = TRIAL_BOUND if m >= TRIAL_BOUND * TRIAL_BOUND else math.isqrt(m)
+    p = _smallest_prime_divisor(m, small_primes(TRIAL_BOUND), limit)
     if p is not None:
         return Divisor(p)
     bases = MR_DETERMINISTIC_BASES

@@ -58,7 +58,7 @@ def _nonzero(text: str) -> int:
 
 def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, indent=2) if args.json else _render(payload)
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
         return
@@ -135,11 +135,12 @@ def cmd_table(args) -> int:
     rows = verifier.audit_table1(n_terms=args.terms)
     payload = {"rows": [r.to_dict() for r in rows]}
     _emit(payload, args)
-    ok = all(r.triples_valid and r.paper_report.verdict for r in rows)
+    ok = all(r.triples_valid and r.report.verdict for r in rows)
     anomalous = [r for r in rows if r.anomalies]
     if anomalous and not args.json:
         for r in anomalous:
-            print(f"note: ({r.a}, {r.b}): {'; '.join(r.anomalies)}", file=sys.stderr)
+            a, b = r.report.params.a, r.report.params.b
+            print(f"note: ({a}, {b}): {'; '.join(r.anomalies)}", file=sys.stderr)
     return EXIT_PASS if ok else EXIT_FAIL
 
 
@@ -170,48 +171,45 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="compseq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeds=False):
-        p.add_argument("-a", type=int, required=True)
-        p.add_argument("-b", type=int, required=True)
-        if seeds:
-            p.add_argument("--x0", type=int, required=True)
-            p.add_argument("--x1", type=int, required=True)
-        p.add_argument("--terms", type=_non_negative, default=200)
+    def outputs(p, fn):
         p.add_argument("--json", action="store_true")
         p.add_argument("-o", "--output", default=None)
+        p.set_defaults(fn=fn)
+
+    def coefficients(p):
+        p.add_argument("-a", type=int, required=True)
+        p.add_argument("-b", type=int, required=True)
 
     p = sub.add_parser("construct", help="construct and verify a composite-only seed pair")
-    common(p)
-    p.set_defaults(fn=cmd_construct)
+    coefficients(p)
+    p.add_argument("--terms", type=_non_negative, default=200)
+    outputs(p, cmd_construct)
 
     p = sub.add_parser("verify", help="verify user-supplied seeds")
-    common(p, seeds=True)
-    p.set_defaults(fn=cmd_verify)
+    coefficients(p)
+    p.add_argument("--x0", type=int, required=True)
+    p.add_argument("--x1", type=int, required=True)
+    p.add_argument("--terms", type=_non_negative, default=200)
+    outputs(p, cmd_verify)
 
     p = sub.add_parser("triples", help="search covering triples for (a, b)")
-    common(p)
-    p.set_defaults(fn=cmd_triples)
+    coefficients(p)
+    outputs(p, cmd_triples)
 
     p = sub.add_parser("table", help="audit the embedded small-coefficient table")
     p.add_argument("--terms", type=_non_negative, default=100)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(fn=cmd_table)
+    outputs(p, cmd_table)
 
     p = sub.add_parser("conjecture", help="scan gcd(u_p, u_q) at prime indices, b = -1")
     p.add_argument("--a-max", type=_non_negative, default=10)
     p.add_argument("--p-max", type=_non_negative, default=31)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(fn=cmd_conjecture)
+    outputs(p, cmd_conjecture)
 
     p = sub.add_parser("lucas", help="print a Lucas-sequence term")
     p.add_argument("-a", type=int, required=True)
     p.add_argument("-b", type=_nonzero, required=True)
     p.add_argument("-n", type=_non_negative, required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(fn=cmd_lucas)
+    outputs(p, cmd_lucas)
 
     return parser
 

@@ -96,26 +96,6 @@ TABLE1: dict[tuple[int, int], tuple[tuple[Rule, ...], int, int]] = {
 }
 
 
-def closed_form_degenerate(c: int, n: int) -> int:
-    """x_n for the repeated-root case a = 2c, b = -c^2 with seeds (4c^2-1, 2c^3).
-
-    Valid for n >= 3; never 0.  Used as an oracle against term generation.
-    """
-    return c**n * ((n - 1) - (2 * n - 4) * c * c)
-
-
-def square_gap_holds(a: int, b: int) -> bool:
-    """The strict sandwich pinning 16b^8+8ab^5-8b^4-4b^3-2ab+1 between squares.
-
-    Holds whenever 1 <= |a| <= |b| and |b| >= 2; rules out zero terms for the
-    (4b^4-1, 2b^2) seeds.
-    """
-    mid = 16 * b**8 + 8 * a * b**5 - 8 * b**4 - 4 * b**3 - 2 * a * b + 1
-    lo = (4 * b**4 + a * b - 2) ** 2
-    hi = (4 * b**4 + a * b) ** 2
-    return lo < mid < hi
-
-
 def _smallest_primes(n: int, k: int, exclude: tuple[int, ...] = ()) -> list[int]:
     """The k smallest primes of |n| not in `exclude`, read lazily from
     prime_factors; fewer when there are not k of them."""

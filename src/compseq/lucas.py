@@ -1,7 +1,7 @@
 """Lucas sequences of the first kind: u0 = 0, u1 = 1, u_{n+1} = a*u_n + b*u_{n-1}.
 
-Divisibility structure (u_m | u_n when m | n), rank of apparition, and two
-scanners: compositeness of |u_n| for b = -1, |a| >= 3, and pairwise
+Cached terms, rank of apparition, and two scanners: compositeness of |u_n|
+for b = -1, |a| >= 3, one CompositenessCertificate per term, and pairwise
 coprimality of u_p, u_q at prime indices.
 """
 
@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .arith import NotComposite, Witness, compositeness_witness, is_prime, small_primes
+from .arith import (
+    CompositenessCertificate, NotComposite, compositeness_witness, is_prime, small_primes
+)
 from .recurrence import RecurrenceParams
 
 
@@ -36,16 +38,6 @@ class LucasContext:
         return self._cache[n]
 
 
-def check_divisibility(ctx: LucasContext, m: int, n: int) -> bool:
-    """True iff u_m | u_n (when u_m = 0, true iff u_n = 0 as well)."""
-    if m < 1 or n < 1:
-        raise ValueError("indices must be >= 1")
-    um, un = ctx.u(m), ctx.u(n)
-    if um == 0:
-        return un == 0
-    return un % um == 0
-
-
 def rank_of_apparition(ctx: LucasContext, p: int, bound: int | None = None) -> int | None:
     """Smallest m >= 1 with p | u_m, or None when not found within the bound.
 
@@ -64,20 +56,13 @@ def rank_of_apparition(ctx: LucasContext, p: int, bound: int | None = None) -> i
 
 
 @dataclass(frozen=True)
-class ScanEntry:
-    n: int
-    term: int
-    witness: Witness
-
-
-@dataclass(frozen=True)
 class CompositeScanReport:
     a: int
     n_max: int
-    entries: tuple[ScanEntry, ...] = field(default_factory=tuple)
+    entries: tuple[CompositenessCertificate, ...] = ()
 
     @property
-    def violations(self) -> tuple[ScanEntry, ...]:
+    def violations(self) -> tuple[CompositenessCertificate, ...]:
         return tuple(e for e in self.entries if isinstance(e.witness, NotComposite))
 
     @property
@@ -93,7 +78,7 @@ def composite_scan(a: int, n_max: int) -> CompositeScanReport:
     entries = []
     for n in range(3, n_max + 1):
         t = ctx.u(n)
-        entries.append(ScanEntry(n, t, compositeness_witness(t)))
+        entries.append(CompositenessCertificate(n, t, compositeness_witness(t)))
     return CompositeScanReport(a, n_max, tuple(entries))
 
 

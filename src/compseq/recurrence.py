@@ -1,9 +1,8 @@
 """Second-order linear recurrences x_{n+1} = a*x_n + b*x_{n-1}.
 
 Exact arbitrary-precision term generation, the same run in base 10 for
-decimal output, plus two structural checks: the determinant identity
-relating consecutive terms and the strict-growth criterion for |a| > |b|
-with |x0| < |x1|.
+decimal output, plus the strict-growth check for |a| > |b| with
+|x0| < |x1|.
 """
 
 from __future__ import annotations
@@ -90,20 +89,6 @@ def decimal_texts(params: RecurrenceParams, seed: SeedPair, n: int) -> list[str]
         if not y:
             y = zero  # Decimal keeps the sign of zero; x_n = 0 prints as "0"
     return texts
-
-
-def lemma1_residual(params: RecurrenceParams, seed: SeedPair, n: int) -> int:
-    """x_{n+1}^2 - a*x_n*x_{n+1} - b*x_n^2 minus (-b)^n*(x1^2 - a*x0*x1 - b*x0^2).
-
-    Always 0; exposed as a residual so tests can quantify over inputs.
-    """
-    a, b = params.a, params.b
-    xs = terms(params, seed, n + 1)
-    xn, xn1 = xs[n], xs[n + 1]
-    lhs = xn1 * xn1 - a * xn * xn1 - b * xn * xn
-    x0, x1 = seed.x0, seed.x1
-    rhs = (-b) ** n * (x1 * x1 - a * x0 * x1 - b * x0 * x0)
-    return lhs - rhs
 
 
 def is_strictly_growing(

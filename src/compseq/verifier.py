@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 from . import constructor as C
 from .arith import (
+    CompositenessCertificate,
     Divisor,
     MillerRabinBase,
     NotComposite,
@@ -23,7 +23,7 @@ from .arith import (
     compositeness_witness,
     factorize,  # noqa: F401  unused; bench/test_bench.py expects tracing to patch it here
 )
-from .covering import Rule, validate_triples
+from .covering import validate_triples
 from .recurrence import RecurrenceParams, SeedPair, decimal_texts, iter_terms, terms
 
 # Reports whose largest term has at least this many bits take their term
@@ -60,19 +60,6 @@ def decimal_digits(n: int) -> tuple[str, int]:
     except ValueError:
         raise _too_large(n) from None
     return text, len(text) - (n < 0)
-
-
-class CompositenessCertificate(NamedTuple):
-    """Why |x_index| is composite: term is x_index, witness its certificate.
-
-    An immutable, hashable tuple record, like covering.Rule, so that the one
-    `verify` makes per term costs no more than a tuple; `_replace` gives an
-    edited copy.
-    """
-
-    index: int
-    term: int
-    witness: Witness
 
 
 @dataclass(frozen=True)
@@ -158,32 +145,6 @@ class VerificationReport:
         return d
 
 
-def _rule_audit(
-    rules: tuple[Rule, ...], xs: list[int], failures: list[str]
-) -> list[Divisor | None]:
-    """The divisor-rule law: each index is claimed by some rule, and every
-    claimed d is a proper divisor of |x_n|.
-
-    Returns each index's witness, Divisor(d) for its first claimed proper
-    divisor (None where there is none); each rule makes one Divisor.
-    """
-    size = len(xs)
-    witnesses: list[Divisor | None] = [None] * size
-    claimed = bytearray(size)
-    for d, start, step in rules:
-        witness = Divisor(d)
-        for n in range(start, size, step or size):
-            claimed[n] = 1
-            t = abs(xs[n])
-            if not (1 < d < t and t % d == 0):
-                failures.append(f"claimed {d} is not a proper divisor of x_{n}")
-            elif witnesses[n] is None:
-                witnesses[n] = witness
-    if not all(claimed):
-        failures += [f"index {n} not claimed by any rule" for n in range(size) if not claimed[n]]
-    return witnesses
-
-
 def verify(
     params: RecurrenceParams,
     seed: SeedPair,
@@ -203,19 +164,31 @@ def verify(
         failures.append("x1 not positive")
 
     xs = terms(params, seed, n_terms)
+    size = len(xs)
     rules = construction.rules if construction is not None else ()
     covering_law_ok = None
-    witnesses: list[Witness | None] = [None] * len(xs)
+    witnesses: list[Witness | None] = [None] * size
     if rules:
         before = len(failures)
-        witnesses = _rule_audit(rules, xs, failures)
+        claimed = bytearray(size)
+        for d, start, step in rules:
+            witness = Divisor(d)
+            for n in range(start, size, step or size):
+                claimed[n] = 1
+                t = abs(xs[n])
+                if not (1 < d < t and t % d == 0):
+                    failures.append(f"claimed {d} is not a proper divisor of x_{n}")
+                elif witnesses[n] is None:
+                    witnesses[n] = witness
+        if not all(claimed):
+            failures += [f"index {n} not claimed by any rule" for n in range(size) if not claimed[n]]
         covering_law_ok = len(failures) == before
     for n, witness in enumerate(witnesses):
         if witness is None:
             witness = witnesses[n] = compositeness_witness(xs[n])
             if isinstance(witness, NotComposite):
                 failures.append(f"|x_{n}| = {abs(xs[n])} is not composite")
-    certificates = tuple(map(CompositenessCertificate, range(len(xs)), xs, witnesses))
+    certificates = tuple(map(CompositenessCertificate, range(size), xs, witnesses))
 
     return VerificationReport(
         params=params,
@@ -240,23 +213,23 @@ def verify_construction(
 
 @dataclass(frozen=True)
 class Table1RowReport:
-    a: int
-    b: int
+    """One Table 1 row: `report` is `verify_construction` of the row's rules
+    and published seed pair, so its verdict covers compositeness and the
+    covering law together."""
+
+    report: VerificationReport
     triples_valid: bool
-    paper_seed: SeedPair
-    paper_report: VerificationReport
-    covering_law_ok: bool
-    covering_failures: tuple[str, ...]
-    anomalies: tuple[str, ...] = field(default_factory=tuple)
+    anomalies: tuple[str, ...]
 
     def to_dict(self) -> dict:
+        report = self.report
         return {
-            "a": self.a,
-            "b": self.b,
+            "a": report.params.a,
+            "b": report.params.b,
             "triples_valid": self.triples_valid,
-            "paper_seed": {"x0": self.paper_seed.x0, "x1": self.paper_seed.x1},
-            "paper_verdict": "pass" if self.paper_report.verdict else "fail",
-            "covering_law_ok": self.covering_law_ok,
+            "paper_seed": {"x0": report.seed.x0, "x1": report.seed.x1},
+            "paper_verdict": "pass" if report.verdict else "fail",
+            "covering_law_ok": report.covering_law_ok,
             "anomalies": list(self.anomalies),
         }
 
@@ -264,30 +237,22 @@ class Table1RowReport:
 def audit_table1(n_terms: int = 100) -> list[Table1RowReport]:
     """Validate every fixture row's triples and verify its published seed pair.
 
-    The covering-law audit is reported separately from the compositeness
-    verdict; anomalies (like the (3, -1) row listing x0 > x1) are recorded,
-    not raised.
+    Each row's rules and seeds are verified as one Table1 construction, so
+    its `paper_verdict` fails when a term is not composite or when the rules
+    do not cover and properly divide every term.  Anomalies (like the
+    (3, -1) row listing x0 > x1) are recorded, not raised.
     """
     reports = []
     for (a, b), (rules, x0, x1) in C.TABLE1.items():
         params = RecurrenceParams(a, b)
-        seed = SeedPair(x0, x1)
+        row = C.ConstructionResult(params, SeedPair(x0, x1), C.TABLE1_STRATEGY, rules)
         anomalies = []
         if x0 >= x1:
             anomalies.append(f"published pair has x0 = {x0} >= x1 = {x1}")
-        report = verify(params, seed, n_terms)
-        covering_failures: list[str] = []
-        xs = [cert.term for cert in report.certificates]
-        _rule_audit(rules, xs, covering_failures)
         reports.append(
             Table1RowReport(
-                a,
-                b,
+                verify_construction(row, n_terms),
                 not validate_triples(params, rules),
-                seed,
-                report,
-                not covering_failures,
-                tuple(covering_failures),
                 tuple(anomalies),
             )
         )

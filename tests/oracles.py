@@ -1,0 +1,49 @@
+"""Closed forms and identities from the paper that the tests check the
+library against; nothing in compseq calls them."""
+
+from compseq.lucas import LucasContext
+from compseq.recurrence import RecurrenceParams, SeedPair, terms
+
+
+def closed_form_degenerate(c: int, n: int) -> int:
+    """x_n for the repeated-root case a = 2c, b = -c^2 with seeds (4c^2-1, 2c^3).
+
+    Valid for n >= 3; never 0.  Used as an oracle against term generation.
+    """
+    return c**n * ((n - 1) - (2 * n - 4) * c * c)
+
+
+def square_gap_holds(a: int, b: int) -> bool:
+    """The strict sandwich pinning 16b^8+8ab^5-8b^4-4b^3-2ab+1 between squares.
+
+    Holds whenever 1 <= |a| <= |b| and |b| >= 2; rules out zero terms for the
+    (4b^4-1, 2b^2) seeds.
+    """
+    mid = 16 * b**8 + 8 * a * b**5 - 8 * b**4 - 4 * b**3 - 2 * a * b + 1
+    lo = (4 * b**4 + a * b - 2) ** 2
+    hi = (4 * b**4 + a * b) ** 2
+    return lo < mid < hi
+
+
+def lemma1_residual(params: RecurrenceParams, seed: SeedPair, n: int) -> int:
+    """x_{n+1}^2 - a*x_n*x_{n+1} - b*x_n^2 minus (-b)^n*(x1^2 - a*x0*x1 - b*x0^2).
+
+    Always 0; exposed as a residual so tests can quantify over inputs.
+    """
+    a, b = params.a, params.b
+    xs = terms(params, seed, n + 1)
+    xn, xn1 = xs[n], xs[n + 1]
+    lhs = xn1 * xn1 - a * xn * xn1 - b * xn * xn
+    x0, x1 = seed.x0, seed.x1
+    rhs = (-b) ** n * (x1 * x1 - a * x0 * x1 - b * x0 * x0)
+    return lhs - rhs
+
+
+def check_divisibility(ctx: LucasContext, m: int, n: int) -> bool:
+    """True iff u_m | u_n (when u_m = 0, true iff u_n = 0 as well)."""
+    if m < 1 or n < 1:
+        raise ValueError("indices must be >= 1")
+    um, un = ctx.u(m), ctx.u(n)
+    if um == 0:
+        return un == 0
+    return un % um == 0

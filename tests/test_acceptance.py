@@ -14,10 +14,10 @@ from compseq.recurrence import (
     RecurrenceParams,
     SeedPair,
     is_strictly_growing,
-    lemma1_residual,
     terms,
 )
 from compseq.verifier import audit_table1, verify_construction
+from oracles import lemma1_residual, square_gap_holds
 
 
 def report(name, started):
@@ -46,9 +46,9 @@ def test_criterion_2_table1_audit():
     rows = audit_table1(100)
     assert len(rows) == 10
     for row in rows:
-        assert row.triples_valid, (row.a, row.b)
-        assert row.paper_report.verdict, (row.a, row.b)
-    anomalies = [(r.a, r.b) for r in rows if r.anomalies]
+        assert row.triples_valid, row.report.params
+        assert row.report.verdict, row.report.params
+    anomalies = [(r.report.params.a, r.report.params.b) for r in rows if r.anomalies]
     assert anomalies == [(3, -1)]
     elapsed = time.monotonic() - started
     assert elapsed < 10.0
@@ -129,7 +129,7 @@ def test_criterion_5_property_suites():
         for a in range(-abs(b), abs(b) + 1):
             if a == 0 or a * a + 4 * b == 0:
                 continue
-            assert C.square_gap_holds(a, b)
+            assert square_gap_holds(a, b)
             mid = 16 * b**8 + 8 * a * b**5 - 8 * b**4 - 4 * b**3 - 2 * a * b + 1
             assert not is_perfect_square(mid)
     report("5 property suites", started)
@@ -140,7 +140,7 @@ def test_criterion_6_section6_theorem_and_conjecture():
     for mag in range(3, 51):
         for a in (mag, -mag):
             rep = composite_scan(a, 60)
-            assert rep.all_composite, (a, [e.n for e in rep.violations])
+            assert rep.all_composite, (a, [e.index for e in rep.violations])
 
     a_values = [a for a in range(-20, 21) if abs(a) >= 3]
     violations = conjecture_scan(a_values, 97)

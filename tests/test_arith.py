@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from compseq import arith
 from compseq.arith import (
     CHUNK_PRIMES,
-    DEFAULT_TRIAL_BOUND,
     FACTOR_TRIAL_BOUND,
     GROUP_CHUNKS,
     MR_DETERMINISTIC_BASES,
     MR_DETERMINISTIC_BOUND,
     SCREEN_BOUND,
     SCREEN_CHUNKS,
+    TRIAL_BOUND,
     Divisor,
     MillerRabinBase,
     NonCoprimeModuli,
@@ -112,10 +112,11 @@ class TestWitness:
             elif isinstance(w, NotComposite):
                 assert sympy.isprime(n)
 
-    def test_mr_witness_for_large_semiprime(self):
+    def test_mr_witness_for_large_semiprime(self, monkeypatch):
         p = sympy.nextprime(10**10)
         q = sympy.nextprime(2 * 10**10)
-        w = compositeness_witness(p * q, trial_bound=10**6)
+        monkeypatch.setattr(arith, "TRIAL_BOUND", 10**6)
+        w = compositeness_witness(p * q)
         assert isinstance(w, MillerRabinBase)
         assert not _strong_probable_prime(p * q, w.base)
 
@@ -125,15 +126,16 @@ class TestWitness:
         n = 3317044070243339695661221
         assert n >= MR_DETERMINISTIC_BOUND and _strong_probable_prime(n, 2)
         for m in (n, -n):
-            assert compositeness_witness(m) == MillerRabinBase(3) == plain_loop_witness(m, DEFAULT_TRIAL_BOUND)
+            assert compositeness_witness(m) == MillerRabinBase(3) == plain_loop_witness(m, TRIAL_BOUND)
 
     def test_prime_above_the_bound(self):
-        assert compositeness_witness(2**89 - 1) == NotComposite() == plain_loop_witness(2**89 - 1, DEFAULT_TRIAL_BOUND)
+        assert compositeness_witness(2**89 - 1) == NotComposite() == plain_loop_witness(2**89 - 1, TRIAL_BOUND)
 
-    def test_trial_bound_decides_between_divisor_and_base_2(self):
+    def test_trial_bound_decides_between_divisor_and_base_2(self, monkeypatch):
         n = 1000003 * (2**89 - 1)
-        for trial_bound, expected in ((DEFAULT_TRIAL_BOUND, MillerRabinBase(2)), (2 * 10**6, Divisor(1000003))):
-            assert compositeness_witness(n, trial_bound=trial_bound) == expected == plain_loop_witness(n, trial_bound)
+        for trial_bound, expected in ((TRIAL_BOUND, MillerRabinBase(2)), (2 * 10**6, Divisor(1000003))):
+            monkeypatch.setattr(arith, "TRIAL_BOUND", trial_bound)
+            assert compositeness_witness(n) == expected == plain_loop_witness(n, trial_bound)
 
 
 def plain_loop_witness(n, trial_bound):
@@ -183,8 +185,10 @@ def test_witness_matches_plain_loop_at_chunk_and_bound_edges(p, k, q, trial_boun
     # p * k: p may or may not be the smallest factor; p * nextprime(p): p is
     # the largest prime <= isqrt(m); p * p: p == isqrt(m); p * q and p * q * k:
     # above the bound, where the scan runs before any Miller-Rabin round.
-    for n in (p * k, -p * k, p * sympy.nextprime(p), p * p, p * q, -p * q * k):
-        assert compositeness_witness(n, trial_bound=trial_bound) == plain_loop_witness(n, trial_bound), n
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "TRIAL_BOUND", trial_bound)
+        for n in (p * k, -p * k, p * sympy.nextprime(p), p * p, p * q, -p * q * k):
+            assert compositeness_witness(n) == plain_loop_witness(n, trial_bound), n
 
 
 class TestPerfectSquare:

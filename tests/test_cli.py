@@ -2,14 +2,18 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import compseq
+from compseq import constructor as C
 from compseq.cli import (
     EXIT_EFFORT,
     EXIT_FAIL,
@@ -22,6 +26,7 @@ from compseq.cli import (
     build_parser,
     main,
 )
+from compseq.covering import Rule
 
 
 def run(capsys, *argv):
@@ -119,6 +124,7 @@ class TestOther:
             ["lucas", "-a", "1", "-b", "1", "-n", "-1"],
             ["conjecture", "--a-max", "4", "--p-max", "-3"],
             ["conjecture", "--a-max", "-1"],
+            ["triples", "-a", "8", "-b", "1", "--terms", "5"],
         ],
     )
     def test_out_of_range_argument_exit_code(self, capsys, argv):
@@ -180,6 +186,19 @@ class TestOther:
         code, out = run(capsys, "table", "--terms", "30", "--json")
         assert code == 0
         assert len(json.loads(out)["rows"]) == 10
+
+    def test_table_fails_when_a_rows_rules_do_not_cover_its_terms(self, capsys, monkeypatch):
+        # Each rule moved to the next class: the triples still cover the
+        # integers and divide u_m, but no longer divide the seeds' terms.
+        rules, x0, x1 = C.TABLE1[(5, 1)]
+        shifted = tuple(Rule(d, (s + 1) % m, m) for d, s, m in rules)
+        monkeypatch.setitem(C.TABLE1, (5, 1), (shifted, x0, x1))
+        code, out = run(capsys, "table", "--json")
+        assert code == EXIT_FAIL
+        row = next(r for r in json.loads(out)["rows"] if (r["a"], r["b"]) == (5, 1))
+        assert row["triples_valid"] is True
+        assert row["paper_verdict"] == "fail"
+        assert row["covering_law_ok"] is False
 
     def test_triples(self, capsys):
         code, out = run(capsys, "triples", "-a", "8", "-b", "1", "--json")
@@ -274,7 +293,7 @@ FLAG_VALUES = {
 SUBCOMMAND_FLAGS = {
     "construct": ("-a", "-b", "--terms"),
     "verify": ("-a", "-b", "--x0", "--x1", "--terms"),
-    "triples": ("-a", "-b", "--terms"),
+    "triples": ("-a", "-b"),
     "table": ("--terms",),
     "conjecture": ("--a-max", "--p-max"),
     "lucas": ("-a", "-b", "-n"),
@@ -307,3 +326,15 @@ def test_fuzzed_argv_exits_with_a_documented_code(argv):
         code = main(argv)
     assert code in DOCUMENTED_EXIT_CODES, (argv, code)
     assert "Traceback" not in err.getvalue(), argv
+
+
+def readme_cli_examples():
+    """The commands of README's `## CLI` block, without `compseq` and comments."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^## CLI\n+```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("argv", readme_cli_examples(), ids=" ".join)
+def test_readme_cli_examples_pass(capsys, argv):
+    assert main(argv) == EXIT_PASS

@@ -10,6 +10,7 @@ from compseq import constructor as C
 from compseq.arith import FACTOR_TRIAL_BOUND, EffortExceeded, factorize, is_perfect_square, is_prime
 from compseq.recurrence import RecurrenceParams, SeedPair, terms
 from compseq.verifier import verify_construction
+from oracles import closed_form_degenerate, square_gap_holds
 
 # The paper's 1444-vs-1144 display discrepancy for (a, b) = (9, 1): CRT
 # recomputation fixes z = 1444.
@@ -43,8 +44,8 @@ class TestSpecialCases:
 
 class TestClosedFormDegenerate:
     def test_values(self):
-        assert C.closed_form_degenerate(2, 3) == -48
-        assert C.closed_form_degenerate(2, 4) == -208
+        assert closed_form_degenerate(2, 3) == -48
+        assert closed_form_degenerate(2, 4) == -208
 
     def test_agrees_with_recurrence(self):
         for c in list(range(2, 21)) + list(range(-20, -1)):
@@ -52,7 +53,7 @@ class TestClosedFormDegenerate:
             seed = SeedPair(4 * c * c - 1, 2 * c**3)
             xs = terms(params, seed, 50)
             for n in range(3, 51):
-                assert xs[n] == C.closed_form_degenerate(c, n), (c, n)
+                assert xs[n] == closed_form_degenerate(c, n), (c, n)
                 assert xs[n] != 0
 
 
@@ -125,9 +126,9 @@ class TestPolynomialSeeds:
 
 class TestSquareGap:
     def test_examples(self):
-        assert C.square_gap_holds(1, 2)
-        assert C.square_gap_holds(-3, 3)
-        assert C.square_gap_holds(2, 2)
+        assert square_gap_holds(1, 2)
+        assert square_gap_holds(-3, 3)
+        assert square_gap_holds(2, 2)
 
     def test_full_grid_and_non_squareness(self):
         for b in range(-50, 51):
@@ -136,7 +137,7 @@ class TestSquareGap:
             for a in range(-abs(b), abs(b) + 1):
                 if a == 0 or a * a + 4 * b == 0:
                     continue
-                assert C.square_gap_holds(a, b), (a, b)
+                assert square_gap_holds(a, b), (a, b)
                 mid = 16 * b**8 + 8 * a * b**5 - 8 * b**4 - 4 * b**3 - 2 * a * b + 1
                 assert not is_perfect_square(mid), (a, b)
 

@@ -3,14 +3,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from compseq.lucas import (
-    LucasContext,
-    check_divisibility,
-    composite_scan,
-    conjecture_scan,
-    rank_of_apparition,
-)
+from compseq.lucas import LucasContext, composite_scan, conjecture_scan, rank_of_apparition
 from compseq.recurrence import RecurrenceParams
+from oracles import check_divisibility
 
 
 def ctx_of(a, b):
@@ -116,7 +111,7 @@ class TestScans:
     def test_a3_scan(self):
         report = composite_scan(3, 30)
         assert report.all_composite
-        by_n = {e.n: e for e in report.entries}
+        by_n = {e.index: e for e in report.entries}
         assert by_n[3].term == 8 and by_n[3].witness.d == 2
         assert by_n[4].term == 21 and by_n[4].witness.d == 3
 

@@ -11,9 +11,9 @@ from compseq.recurrence import (
     decimal_texts,
     is_strictly_growing,
     iter_terms,
-    lemma1_residual,
     terms,
 )
+from oracles import lemma1_residual
 
 
 @given(

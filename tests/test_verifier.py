@@ -385,20 +385,20 @@ class TestAuditTable1:
         rows = audit_table1(100)
         assert len(rows) == 10
         for row in rows:
-            assert row.triples_valid, (row.a, row.b)
-            assert row.paper_report.verdict, (row.a, row.b)
-            assert row.covering_law_ok, (row.a, row.b)
+            assert row.triples_valid, row.report.params
+            assert row.report.verdict, row.report.params
+            assert row.report.covering_law_ok, row.report.params
 
     def test_ordering_anomaly_recorded(self):
-        rows = {(r.a, r.b): r for r in audit_table1(20)}
+        rows = {(r.report.params.a, r.report.params.b): r for r in audit_table1(20)}
         assert rows[(3, -1)].anomalies
         assert not rows[(-3, -1)].anomalies
         assert not rows[(5, 1)].anomalies
 
     def test_example_rows(self):
-        rows = {(r.a, r.b): r for r in audit_table1(100)}
-        assert rows[(5, 1)].paper_seed == SeedPair(495, 1136)
-        assert rows[(-4, 1)].paper_seed == SeedPair(116, 801)
+        rows = {(r.report.params.a, r.report.params.b): r for r in audit_table1(100)}
+        assert rows[(5, 1)].report.seed == SeedPair(495, 1136)
+        assert rows[(-4, 1)].report.seed == SeedPair(116, 801)
 
 
 def test_grid_round_trip_sample():
