@@ -13,7 +13,8 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple
 
 
 class NonCoprimeModuli(ValueError):
@@ -33,7 +34,7 @@ class SearchExhausted(RuntimeError):
 MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 MR_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-# Random Miller-Rabin rounds at or above MR_DETERMINISTIC_BOUND.
+# Random Miller-Rabin bases after the fixed ones, at or above MR_DETERMINISTIC_BOUND.
 MR_ROUNDS = 64
 # compositeness_witness divides by the primes up to this bound before Miller-Rabin.
 TRIAL_BOUND = 10**6
@@ -130,32 +131,27 @@ def _strong_probable_prime(n: int, base: int) -> bool:
     return False
 
 
-def is_prime(n: int) -> bool:
-    """Primality test.
+def _mr_witness(n: int) -> int | None:
+    """The first base at which the strong test proves odd n > 3 composite, or
+    None.  Bases come in one order: MR_DETERMINISTIC_BASES, then, at or above
+    MR_DETERMINISTIC_BOUND, MR_ROUNDS bases from Random(0xC0FFEE)."""
+    bases: Iterable[int] = MR_DETERMINISTIC_BASES
+    if n >= MR_DETERMINISTIC_BOUND:
+        rng = random.Random(0xC0FFEE)
+        bases = chain(bases, (rng.randrange(2, n - 1) for _ in range(MR_ROUNDS)))
+    return next((a for a in bases if not _strong_probable_prime(n, a)), None)
 
-    n <= SCREEN_BOUND is looked up in the sieve.  Above it, n is composite
-    when gcd(n, product of the primes <= SCREEN_BOUND) != 1, taken chunk by
-    chunk from the block cache, so a composite with a small factor costs a
-    few gcds and no modular exponentiation.  Only n that passes this screen
-    reaches Miller-Rabin: deterministic (fixed base set) below
-    MR_DETERMINISTIC_BOUND, MR_ROUNDS random bases from Random(0xC0FFEE)
-    above it.
-    """
+
+def is_prime(n: int) -> bool:
+    """Primality test: a sieve lookup up to SCREEN_BOUND.  Above it, n is
+    composite when _smallest_prime_divisor finds a prime <= SCREEN_BOUND
+    dividing it (a few gcds, no modular exponentiation), else when
+    _mr_witness finds a base; that is exact below MR_DETERMINISTIC_BOUND."""
     screen = small_primes(SCREEN_BOUND)
     if n <= SCREEN_BOUND:
         i = bisect_left(screen, n)
         return i < len(screen) and screen[i] == n
-    for lo in range(0, len(screen), CHUNK_PRIMES):
-        if math.gcd(n, _block_product(screen, lo, lo + CHUNK_PRIMES)) != 1:
-            return False
-    if n < MR_DETERMINISTIC_BOUND:
-        return all(_strong_probable_prime(n, a) for a in MR_DETERMINISTIC_BASES)
-    rng = random.Random(0xC0FFEE)
-    for _ in range(MR_ROUNDS):
-        a = rng.randrange(2, n - 1)
-        if not _strong_probable_prime(n, a):
-            return False
-    return True
+    return _smallest_prime_divisor(n, screen, SCREEN_BOUND) is None and _mr_witness(n) is None
 
 
 @dataclass(frozen=True)
@@ -203,39 +199,22 @@ def compositeness_witness(n: int) -> Witness:
 
     A composite |n| gets Divisor(p) for the smallest prime
     p <= min(TRIAL_BOUND, isqrt|n|) dividing it, from _smallest_prime_divisor.
-    Without such p, it gets the first Miller-Rabin witness among the fixed
-    bases 2, 3, 5, ..., then among random bases from Random(0xC0FFEE).
+    Without such p, it gets the first base _mr_witness finds, or NotComposite
+    when there is none.
 
     Below MR_DETERMINISTIC_BOUND, is_prime is exact and cheap, so it runs
     first and a prime gets NotComposite before any scan.  At or above it,
-    the definite certificates come first: the divisor scan, then base 2.
-    Only when base 2 is a liar does the probabilistic is_prime run (a
-    probable prime gets NotComposite), and the search go on from base 3.
+    is_prime never runs: the divisor scan comes first, then _mr_witness.
     """
     m = abs(n)
-    below = m < MR_DETERMINISTIC_BOUND
-    if m in (0, 1) or (below and is_prime(m)):
+    if m in (0, 1) or (m < MR_DETERMINISTIC_BOUND and is_prime(m)):
         return NotComposite()
     limit = TRIAL_BOUND if m >= TRIAL_BOUND * TRIAL_BOUND else math.isqrt(m)
     p = _smallest_prime_divisor(m, small_primes(TRIAL_BOUND), limit)
     if p is not None:
         return Divisor(p)
-    bases = MR_DETERMINISTIC_BASES
-    if not below:
-        if not _strong_probable_prime(m, 2):
-            return MillerRabinBase(2)
-        if is_prime(m):
-            return NotComposite()
-        bases = bases[1:]
-    for a in bases:
-        if not _strong_probable_prime(m, a):
-            return MillerRabinBase(a)
-    rng = random.Random(0xC0FFEE)
-    for _ in range(10_000):
-        a = rng.randrange(2, m - 1)
-        if not _strong_probable_prime(m, a):
-            return MillerRabinBase(a)
-    raise RuntimeError(f"no compositeness witness found for {n}")  # pragma: no cover
+    base = _mr_witness(m)
+    return NotComposite() if base is None else MillerRabinBase(base)
 
 
 def sqrt_if_square(n: int) -> int | None:

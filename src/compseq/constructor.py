@@ -185,7 +185,7 @@ def construct(a: int, b: int) -> ConstructionResult:
     if a == 0:
         return result(4, 9, A_ZERO, (2, 0, 2), (3, 1, 2))
 
-    if a * a + 4 * b == 0 and abs(b) >= 2:
+    if params.discriminant == 0 and abs(b) >= 2:
         # a = 2c, b = -c^2; for a < 0 reflect x1 so both seeds stay positive
         # (the reflected sequence has the same |x_n|).
         c = abs(a) // 2

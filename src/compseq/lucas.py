@@ -38,21 +38,17 @@ class LucasContext:
         return self._cache[n]
 
 
-def rank_of_apparition(ctx: LucasContext, p: int, bound: int | None = None) -> int | None:
-    """Smallest m >= 1 with p | u_m, or None when not found within the bound.
+def rank_of_apparition(ctx: LucasContext, p: int) -> int:
+    """Smallest m >= 1 with p | u_m.
 
-    For |b| = 1 the rank divides p - 1 or p + 1, so the default bound
-    max(p + 1, 64) is exact there; for general b the search stays bounded.
+    For p not dividing b the rank divides p - (D/p), or is p when p | D,
+    with D = a^2 + 4b the discriminant; so m <= p + 1 always.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if math.gcd(p, ctx.params.b) != 1:
         raise ValueError("p must not divide b")
-    limit = bound if bound is not None else max(p + 1, 64)
-    for m in range(1, limit + 1):
-        if ctx.u(m) % p == 0:
-            return m
-    return None
+    return next(m for m in range(1, p + 2) if ctx.u(m) % p == 0)
 
 
 @dataclass(frozen=True)

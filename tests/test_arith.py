@@ -128,6 +128,24 @@ class TestWitness:
         for m in (n, -n):
             assert compositeness_witness(m) == MillerRabinBase(3) == plain_loop_witness(m, TRIAL_BOUND)
 
+    def test_base_2_liar_runs_bases_in_one_order_and_no_is_prime(self, monkeypatch):
+        # Above the bound the witness tries the fixed bases before any random
+        # one, and leaves the probable-prime question to those same tests.
+        n = 3317044070243339695661221
+        bases = []
+
+        def strong(m, a):
+            bases.append(a)
+            return _strong_probable_prime(m, a)
+
+        def refuse(m):
+            raise AssertionError("is_prime ran")
+
+        monkeypatch.setattr(arith, "_strong_probable_prime", strong)
+        monkeypatch.setattr(arith, "is_prime", refuse)
+        assert compositeness_witness(n) == MillerRabinBase(3)
+        assert bases == [2, 3]
+
     def test_prime_above_the_bound(self):
         assert compositeness_witness(2**89 - 1) == NotComposite() == plain_loop_witness(2**89 - 1, TRIAL_BOUND)
 
@@ -189,6 +207,29 @@ def test_witness_matches_plain_loop_at_chunk_and_bound_edges(p, k, q, trial_boun
         mp.setattr(arith, "TRIAL_BOUND", trial_bound)
         for n in (p * k, -p * k, p * sympy.nextprime(p), p * p, p * q, -p * q * k):
             assert compositeness_witness(n) == plain_loop_witness(n, trial_bound), n
+
+
+def assert_witness_agrees_with_is_prime(n):
+    assert isinstance(compositeness_witness(n), NotComposite) == (abs(n) < 2 or is_prime(abs(n))), n
+
+
+def test_witness_agrees_with_is_prime_on_edge_products():
+    # The edge and large primes, the base-2 liar above the bound, and every
+    # product of two of these.
+    values = [*EDGE_PRIMES, *LARGE_PRIMES, 3317044070243339695661221]
+    for i, x in enumerate(values):
+        for n in (x, -x, *(x * y for y in values[i:])):
+            assert_witness_agrees_with_is_prime(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(-(10**6), 10**6)
+    | st.integers(-(10**40), 10**40)
+    | st.tuples(st.sampled_from(EDGE_PRIMES), st.sampled_from(LARGE_PRIMES), st.integers(1, 10**6)).map(math.prod)
+)
+def test_witness_agrees_with_is_prime(n):
+    assert_witness_agrees_with_is_prime(n)
 
 
 class TestPerfectSquare:

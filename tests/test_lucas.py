@@ -95,16 +95,16 @@ class TestRank:
         from compseq.arith import small_primes
 
         for a in (1, 3, -4, 9):
-            for b in (-1, 1):
+            for b in (-1, 1, -2, 2, -3, 3, 5):
                 ctx = ctx_of(a, b)
                 for p in small_primes(100):
-                    rank = rank_of_apparition(ctx, p, bound=300)
+                    if b % p == 0:
+                        continue
+                    rank = rank_of_apparition(ctx, p)
+                    assert rank <= p + 1, (a, b, p)
                     for n in range(1, 201):
                         divides = ctx.u(n) % p == 0
-                        if rank is None:
-                            assert not divides
-                        else:
-                            assert divides == (n % rank == 0), (a, b, p, n)
+                        assert divides == (n % rank == 0), (a, b, p, n)
 
 
 class TestScans:
