@@ -1,41 +1,36 @@
 """Lucas sequences of the first kind: u0 = 0, u1 = 1, u_{n+1} = a*u_n + b*u_{n-1}.
 
-Cached terms, rank of apparition, and two scanners: compositeness of |u_n|
-for b = -1, |a| >= 3, one CompositenessCertificate per term, and pairwise
-coprimality of u_p, u_q at prime indices.
+Terms walked from (0, 1), rank of apparition, and two scanners: compositeness
+of |u_n| for b = -1, |a| >= 3, one CompositenessCertificate per term, and
+pairwise coprimality of u_p, u_q at prime indices.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
+from itertools import islice
 
 from .arith import (
     CompositenessCertificate, NotComposite, compositeness_witness, is_prime, small_primes
 )
-from .recurrence import RecurrenceParams
+from .recurrence import RecurrenceParams, SeedPair, iter_terms, terms
+
+LUCAS_SEED = SeedPair(0, 1)
 
 
 class LucasContext:
-    """Caches u_n values for one (a, b); u() is observably pure and thread-safe."""
+    """u_n for one (a, b); u() walks from (0, 1) on each call, keeps no terms, is pure."""
 
     def __init__(self, params: RecurrenceParams):
         if params.b == 0:
             raise ValueError("b must be nonzero")
         self.params = params
-        self._cache = [0, 1]
-        self._lock = threading.Lock()
 
     def u(self, n: int) -> int:
         if n < 0:
             raise ValueError("n must be >= 0")
-        if n >= len(self._cache):
-            with self._lock:
-                a, b = self.params.a, self.params.b
-                while len(self._cache) <= n:
-                    self._cache.append(a * self._cache[-1] + b * self._cache[-2])
-        return self._cache[n]
+        return next(islice(iter_terms(self.params, LUCAS_SEED), n, None))
 
 
 def rank_of_apparition(ctx: LucasContext, p: int) -> int:
@@ -48,7 +43,8 @@ def rank_of_apparition(ctx: LucasContext, p: int) -> int:
         raise ValueError(f"{p} is not prime")
     if math.gcd(p, ctx.params.b) != 1:
         raise ValueError("p must not divide b")
-    return next(m for m in range(1, p + 2) if ctx.u(m) % p == 0)
+    us = islice(iter_terms(ctx.params, LUCAS_SEED), 1, p + 2)
+    return next(m for m, t in enumerate(us, 1) if t % p == 0)
 
 
 @dataclass(frozen=True)
@@ -70,12 +66,10 @@ def composite_scan(a: int, n_max: int) -> CompositeScanReport:
     """Certify |u_n| composite for 3 <= n <= n_max with b = -1, |a| >= 3."""
     if abs(a) < 3:
         raise ValueError("requires |a| >= 3")
-    ctx = LucasContext(RecurrenceParams(a, -1))
-    entries = []
-    for n in range(3, n_max + 1):
-        t = ctx.u(n)
-        entries.append(CompositenessCertificate(n, t, compositeness_witness(t)))
-    return CompositeScanReport(a, n_max, tuple(entries))
+    us = terms(RecurrenceParams(a, -1), LUCAS_SEED, max(n_max, 0))[3:]
+    witnesses = map(compositeness_witness, us)
+    entries = tuple(map(CompositenessCertificate, range(3, n_max + 1), us, witnesses))
+    return CompositeScanReport(a, n_max, entries)
 
 
 @dataclass(frozen=True)
@@ -91,15 +85,15 @@ def conjecture_scan(a_values, prime_bound: int) -> list[CoprimalityViolation]:
 
     Returns the (expected-empty) list of pairs with gcd > 1.
     """
-    primes = [p for p in small_primes(prime_bound) if p <= prime_bound]
+    primes = small_primes(prime_bound)
     violations = []
     for a in a_values:
         if abs(a) < 3:
             raise ValueError("requires |a| >= 3")
-        ctx = LucasContext(RecurrenceParams(a, -1))
+        us = terms(RecurrenceParams(a, -1), LUCAS_SEED, prime_bound)
         for i, p in enumerate(primes):
             for q in primes[i + 1 :]:
-                g = math.gcd(ctx.u(p), ctx.u(q))
+                g = math.gcd(us[p], us[q])
                 if g > 1:
                     violations.append(CoprimalityViolation(a, p, q, g))
     return violations

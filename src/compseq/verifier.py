@@ -171,7 +171,11 @@ def verify(
     if rules:
         before = len(failures)
         claimed = bytearray(size)
-        for d, start, step in rules:
+        for rule in rules:
+            d, start, step = rule
+            if start < 0 or step < 0:
+                failures.append(f"{rule} needs start >= 0 and step >= 0")
+                continue
             witness = Divisor(d)
             for n in range(start, size, step or size):
                 claimed[n] = 1

@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -34,6 +36,16 @@ class TestTerms:
     def test_b_zero_rejected(self):
         with pytest.raises(ValueError):
             ctx_of(5, 0)
+
+    def test_far_term_keeps_no_earlier_terms(self):
+        # Holding u_0..u_n would take Theta(n^2) bits; the walk keeps two terms.
+        tracemalloc.start()
+        try:
+            result = ctx_of(3, -1).u(20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * sys.getsizeof(result), (peak, sys.getsizeof(result))
 
     def test_concurrent_reads_consistent(self):
         ctx = ctx_of(3, -1)

@@ -177,6 +177,8 @@ class TestRuleAudit:
         [
             ((8, 0, 0), (5, 1, 1)),  # tail divisor 5 instead of 3
             ((3, 1, 1),),  # index 0 unclaimed
+            ((8, 0, 0), (3, 1, 1), (3, -1, 0)),  # negative start
+            ((8, 0, 0), (3, 1, 1), (3, 60, -1)),  # negative step
         ],
     )
     def test_broken_rules_fail_the_audit(self, rules):
