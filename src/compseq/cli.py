@@ -57,10 +57,13 @@ def _nonzero(text: str) -> int:
 
 
 def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2) if args.json else _render(payload)
+    _write(json.dumps(payload, indent=2) if args.json else _render(payload), args)
+
+
+def _write(text: str, args) -> None:
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+            print(text, file=fh)
         return
     try:
         print(text, flush=True)
@@ -102,9 +105,13 @@ def cmd_construct(args) -> int:
         "strategy": result.strategy,
         "x0": _int_digits(result.seed.x0),
         "x1": _int_digits(result.seed.x1),
-        "report": report.to_dict(),
     }
-    _emit(payload, args)
+    if args.json:
+        # The report is the payload's last key: its text replaces the closing "\n}".
+        head = json.dumps(payload, indent=2)[:-2]
+        _write(f'{head},\n  "report": {report.to_json("  ")}\n}}', args)
+    else:
+        _write(_render(payload | {"report": report.to_dict()}), args)
     return EXIT_PASS if report.verdict else EXIT_FAIL
 
 
@@ -112,7 +119,7 @@ def cmd_verify(args) -> int:
     params = RecurrenceParams(args.a, args.b)
     seed = SeedPair(args.x0, args.x1)
     report = verifier.verify(params, seed, args.terms)
-    _emit(report.to_dict(), args)
+    _write(report.to_json() if args.json else _render(report.to_dict()), args)
     return EXIT_PASS if report.verdict else EXIT_FAIL
 
 

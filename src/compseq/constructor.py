@@ -173,7 +173,8 @@ def construct(a: int, b: int) -> ConstructionResult:
         )
 
     def covering_result(rules, strategy):
-        assert not validate_triples(params, rules), f"invalid triple set for ({a}, {b})"
+        if validate_triples(params, rules):  # not an assert: python -O would strip it
+            raise AssertionError(f"invalid triple set for ({a}, {b})")
         seed, P, y, z = derive_seed_from_triples(params, rules)
         return ConstructionResult(params, seed, strategy, rules, Support(P, y, z))
 

@@ -33,7 +33,12 @@ class CoveringCheck(NamedTuple):
 
 
 def is_covering(classes: Sequence[tuple[int, int]]) -> CoveringCheck:
-    """Exact covering check over one full period lcm(m_i)."""
+    """Exact covering check over one full period lcm(m_i).
+
+    Raises ValueError for a class with modulus m < 1.
+    """
+    if any(m < 1 for m, _ in classes):
+        raise ValueError("every modulus must be >= 1")
     if not classes:
         return CoveringCheck(False, 0)
     period = math.lcm(*(m for m, _ in classes))

@@ -9,6 +9,7 @@ trial division, then a Miller-Rabin witness base.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from dataclasses import dataclass
@@ -82,7 +83,7 @@ class VerificationReport:
         return None
 
     def _term_texts(self) -> list[tuple[str, int]]:
-        """Each certificate's term in decimal with its digit count; see to_dict."""
+        """Each certificate's term in decimal with its digit count; see to_json."""
         certs = self.certificates
         long_terms = any(c.term.bit_length() >= DECIMAL_TEXT_BITS for c in reversed(certs))
         run = zip(certs, iter_terms(self.params, self.seed))
@@ -97,8 +98,10 @@ class VerificationReport:
             texts.append((text, digits))
         return texts
 
-    def to_dict(self) -> dict:
-        """The report as JSON-ready data; terms and seeds are decimal strings.
+    def to_json(self, pad: str = "") -> str:
+        """The report as `json.dumps(self.to_dict(), indent=2)` writes it, with
+        every line after the first prefixed by pad; terms and seeds are
+        decimal strings.
 
         When the certificates are x_0..x_N of (params, seed), as `verify`
         makes them, and some term has at least DECIMAL_TEXT_BITS bits, the
@@ -107,42 +110,56 @@ class VerificationReport:
         quadratic); a term with more digits than Python's int-to-str limit
         still raises the OutputTooLarge that str() would.  Shorter terms,
         and any other certificates, as in a hand-built or edited report,
-        print each term's own text by `decimal_digits`.
+        print each term's own text by `decimal_digits`.  A term text is only
+        digits and a sign, so each certificate is written by one template,
+        without escaping; the other keys go through json.dumps.
         """
-        certificates = []
-        for cert, (term, digits) in zip(self.certificates, self._term_texts()):
-            certificates.append(
-                {
-                    "n": cert.index,
-                    "term": term,
-                    "term_digits": digits,
-                    "witness_kind": cert.witness.kind,
-                    "witness_value": (
-                        cert.witness.d
-                        if isinstance(cert.witness, Divisor)
-                        else cert.witness.base
-                        if isinstance(cert.witness, MillerRabinBase)
-                        else None
-                    ),
-                }
-            )
-        c = self.construction
-        d = {
+        certificates = ",\n".join(
+            "    {\n"
+            f'      "n": {cert.index},\n'
+            f'      "term": "{term}",\n'
+            f'      "term_digits": {digits},\n'
+            f'      "witness_kind": "{cert.witness.kind}",\n'
+            f'      "witness_value": {_witness_value(cert.witness)}\n'
+            "    }"
+            for cert, (term, digits) in zip(self.certificates, self._term_texts())
+        )
+        certificates = f"[\n{certificates}\n  ]" if certificates else "[]"
+        head = {
             "params": {"a": self.params.a, "b": self.params.b},
-            "seed": {"x0": str(self.seed.x0), "x1": str(self.seed.x1)},
+            "seed": {
+                "x0": decimal_digits(self.seed.x0)[0],
+                "x1": decimal_digits(self.seed.x1)[0],
+            },
             "horizon": self.horizon,
             "verdict": "pass" if self.verdict else "fail",
             "coprime_ok": self.coprime_ok,
             "failures": list(self.failures),
-            "certificates": certificates,
-            "strategy": c.strategy if c is not None else None,
         }
+        c = self.construction
+        tail = {"strategy": c.strategy if c is not None else None}
         if c is not None and c.support is not None:
-            d["triples"] = [{"p": p, "m": m, "r": r} for p, r, m in c.rules]
-            d.update(P=c.support.P, y=c.support.y, z=c.support.z)
+            tail["triples"] = [{"p": p, "m": m, "r": r} for p, r, m in c.rules]
+            tail.update(P=c.support.P, y=c.support.y, z=c.support.z)
         if self.covering_law_ok is not None:
-            d["covering_law_ok"] = self.covering_law_ok
-        return d
+            tail["covering_law_ok"] = self.covering_law_ok
+        text = (
+            f"{json.dumps(head, indent=2)[:-2]},\n"  # without its closing "\n}"
+            f'  "certificates": {certificates},\n'
+            f"{json.dumps(tail, indent=2)[2:]}"  # without its opening "{\n"
+        )
+        return text.replace("\n", "\n" + pad) if pad else text
+
+    def to_dict(self) -> dict:
+        """The report as JSON data: `to_json`, parsed."""
+        return json.loads(self.to_json())
+
+
+def _witness_value(witness: Witness) -> int | str:
+    """witness_value in JSON: the divisor, the base, or null."""
+    if isinstance(witness, Divisor):
+        return witness.d
+    return witness.base if isinstance(witness, MillerRabinBase) else "null"
 
 
 def verify(
@@ -191,7 +208,11 @@ def verify(
         if witness is None:
             witness = witnesses[n] = compositeness_witness(xs[n])
             if isinstance(witness, NotComposite):
-                failures.append(f"|x_{n}| = {abs(xs[n])} is not composite")
+                try:
+                    failures.append(f"|x_{n}| = {abs(xs[n])} is not composite")
+                except ValueError:  # past the int-to-str limit
+                    bits = xs[n].bit_length()
+                    failures.append(f"|x_{n}|, a {bits}-bit integer, is not composite")
     certificates = tuple(map(CompositenessCertificate, range(size), xs, witnesses))
 
     return VerificationReport(

@@ -182,6 +182,26 @@ class TestOther:
             "error: internal error: AssertionError('invalid triple set for (8, 1)')\n"
         )
 
+    def test_failed_assertion_raises_under_python_optimize(self):
+        # python -O strips assert statements; construct's check must stay.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(compseq.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        script = (
+            "from compseq import constructor\n"
+            "assert False, 'asserts are kept'\n"
+            "constructor.validate_triples = lambda *args: ('bad triple',)\n"
+            "try:\n"
+            "    constructor.construct(8, 1)\n"
+            "except AssertionError as exc:\n"
+            "    print(repr(exc))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, env=env, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "AssertionError('invalid triple set for (8, 1)')\n"
+
     def test_table(self, capsys):
         code, out = run(capsys, "table", "--terms", "30", "--json")
         assert code == 0

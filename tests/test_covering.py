@@ -27,6 +27,14 @@ class TestIsCovering:
     def test_empty(self):
         assert not is_covering([]).covered
 
+    @pytest.mark.parametrize("classes", [[(0, 0)], [(2, 0), (0, 1)], [(2, 0), (-2, 1)]])
+    def test_modulus_below_one_raises(self, classes):
+        with pytest.raises(ValueError, match="every modulus must be >= 1"):
+            is_covering(classes)
+
+    def test_modulus_one_covers(self):
+        assert is_covering([(1, 0)]).covered
+
     def test_brute_force_oracle(self):
         systems = [
             [(2, 0), (3, 0), (4, 1), (6, 5), (12, 7)],

@@ -1,8 +1,9 @@
 """Golden outputs: the sha256 of stdout and the exit code of fixed CLI runs.
 
-Any change to a seed, a rule, a witness or the JSON layout of these runs
-shows here, so a refactor must leave them all unchanged.  A deliberate output
-change updates the table and says why in CHANGES.md.
+Any change to a seed, a rule, a witness, the JSON layout or the text
+rendering of these runs shows here, so a refactor must leave them all
+unchanged.  A deliberate output change updates the table and says why in
+CHANGES.md.
 """
 
 import hashlib
@@ -46,4 +47,22 @@ GOLDEN = [
 @pytest.mark.parametrize("command, code, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_json_output_is_unchanged(capsys, command, code, digest):
     assert main(command.split() + ["--json"]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# Without --json: the text rendering, which reads the report through to_dict.
+GOLDEN_TEXT = [
+    ("construct -a -9 -b -1", 0, "9d790ccaf5429e064dfefffe3d59caeaaaa0273e970c3105bb6a4a1d24ad1ce9"),
+    ("construct -a 8 -b 1", 0, "9566fb473dbe5405d998cbc9c2679e700171b11765916d76697c283a45271fdd"),
+    ("construct -a 5 -b 1", 0, "41166417793bb735fe5f09a2114b5e0fd25147bb4667812dbea769bbc7c64bf9"),
+    ("construct -a 999999999989 -b 1", 0, "a84d814bc5e9990924624a7b3196a5e381f3a1bf82c524d8df84bad0f2eafdd6"),
+    ("construct -a 2 -b -1", 2, "490349f440ae560822f5177c56fb285e50379c1a67fba0f67bcb4d747318734f"),
+    ("verify -a 1 -b 1 --x0 1 --x1 1 --terms 10", 1, "6a3f92acf0c9aa0edf8037c23c18276fa751c50a8f2dc0abb228f573f413fd35"),
+    ("verify -a 3 -b -1 --x0 0 --x1 0 --terms 5", 1, "87772e9ae3ffb9bae4bff042b28b6ac60d73b20cb7b5b6411d69035c98f10760"),
+]
+
+
+@pytest.mark.parametrize("command, code, digest", GOLDEN_TEXT, ids=[g[0] for g in GOLDEN_TEXT])
+def test_text_output_is_unchanged(capsys, command, code, digest):
+    assert main(command.split()) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

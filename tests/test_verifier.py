@@ -209,6 +209,116 @@ class TestReportSerialization:
             assert key in d
 
 
+def reference_dict(report):
+    """The report's JSON data built field by field, each term by str()."""
+    c = report.construction
+    d = {
+        "params": {"a": report.params.a, "b": report.params.b},
+        "seed": {"x0": str(report.seed.x0), "x1": str(report.seed.x1)},
+        "horizon": report.horizon,
+        "verdict": "pass" if report.verdict else "fail",
+        "coprime_ok": report.coprime_ok,
+        "failures": list(report.failures),
+        "certificates": [
+            {
+                "n": cert.index,
+                "term": str(cert.term),
+                "term_digits": len(str(abs(cert.term))),
+                "witness_kind": cert.witness.kind,
+                "witness_value": getattr(cert.witness, "d", getattr(cert.witness, "base", None)),
+            }
+            for cert in report.certificates
+        ],
+        "strategy": c.strategy if c is not None else None,
+    }
+    if c is not None and c.support is not None:
+        d["triples"] = [{"p": p, "m": m, "r": r} for p, r, m in c.rules]
+        d.update(P=c.support.P, y=c.support.y, z=c.support.z)
+    if report.covering_law_ok is not None:
+        d["covering_law_ok"] = report.covering_law_ok
+    return d
+
+
+def assert_json_matches_dumps(report):
+    """to_json writes what json.dumps(indent=2) writes, of to_dict and of
+    the field-by-field reference, padded or not."""
+    for pad in ("", "  "):
+        text = report.to_json(pad)
+        assert text == json.dumps(report.to_dict(), indent=2).replace("\n", "\n" + pad)
+        assert text == json.dumps(reference_dict(report), indent=2).replace("\n", "\n" + pad)
+
+
+witnesses = st.one_of(
+    st.builds(Divisor, st.integers(2, 10**30)),
+    st.builds(MillerRabinBase, st.integers(2, 97)),
+    st.just(NotComposite()),
+)
+
+
+class TestReportJson:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(-12, 12),
+        st.integers(-12, 12).filter(bool),
+        st.integers(-10**6, 10**6),
+        st.integers(-10**6, 10**6),
+        st.integers(0, 60),
+        st.booleans(),
+        st.lists(
+            st.tuples(st.integers(0, 60), witnesses, st.none() | st.integers(-10**40, 10**40)),
+            max_size=3,
+        ),
+        st.lists(
+            st.text() | st.just('a "quote", a \\ backslash, caf\u00e9 \u2211 \U0001f600'),
+            max_size=3,
+        ),
+        st.booleans(),
+    )
+    def test_to_json_is_json_dumps_of_to_dict(
+        self, a, b, x0, x1, n, constructed, edits, failures, base_10
+    ):
+        params, seed, construction = RecurrenceParams(a, b), SeedPair(x0, x1), None
+        if constructed and (abs(a), b) != (2, -1):
+            construction = C.construct(a, b)
+            params, seed = construction.params, construction.seed
+        report = verify(params, seed, n, construction)
+        certs = list(report.certificates)
+        for at, witness, term in edits:
+            if at < len(certs):
+                certs[at] = certs[at]._replace(witness=witness)
+                if term is not None:
+                    certs[at] = certs[at]._replace(term=term)
+        report = dataclasses.replace(
+            report, certificates=tuple(certs), failures=report.failures + tuple(failures)
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            if base_10:  # the decimal_texts path, for terms of any size
+                patch.setattr(verifier, "DECIMAL_TEXT_BITS", 0)
+            assert_json_matches_dumps(report)
+
+    @pytest.mark.parametrize("a, b", [(1174571, 1), (-999999999989, -1)])
+    def test_terms_past_decimal_text_bits(self, a, b):
+        report = verify_construction(C.construct(a, b), 200)
+        longest = max(abs(c.term) for c in report.certificates).bit_length()
+        assert longest >= verifier.DECIMAL_TEXT_BITS
+        assert_json_matches_dumps(report)
+
+    def test_witness_kinds_and_values(self):
+        report = verify(RecurrenceParams(1, 1), SeedPair(1, 1), 12)
+        certs = list(report.certificates)
+        certs[12] = certs[12]._replace(witness=MillerRabinBase(3))
+        report = dataclasses.replace(report, certificates=tuple(certs))
+        by_kind = {c["witness_kind"]: c["witness_value"] for c in report.to_dict()["certificates"]}
+        assert by_kind == {"not_composite": None, "divisor": 2, "mr_base": 3}
+        assert_json_matches_dumps(report)
+
+    def test_no_certificates(self):
+        report = verify(RecurrenceParams(5, 1), SeedPair(4, 9), 3)
+        empty = dataclasses.replace(report, certificates=())
+        assert '"certificates": [],' in empty.to_json()
+        assert_json_matches_dumps(empty)
+
+
 class TestCertificateRecord:
     def test_immutable_and_hashable(self):
         cert = verify_construction(C.construct(-9, -1), 10).certificates[3]
@@ -359,6 +469,19 @@ class TestDigitLimit:
                 f"a {past.bit_length()}-bit integer has more than the "
                 f"{limit} decimal digits Python converts to text"
             )
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    def test_unprintable_prime_term_fails_by_its_bit_length(self):
+        prime = 10**700 + 7  # the smallest prime above 10**700
+        saved = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            report = verify(RecurrenceParams(2, -1), SeedPair(prime, prime + 2), 0)
+            assert report.failures == ("|x_0|, a 2326-bit integer, is not composite",)
+            assert not report.verdict
+            with pytest.raises(OutputTooLarge):
+                report.to_json()
         finally:
             sys.set_int_max_str_digits(saved)
 
