@@ -38,7 +38,7 @@ MR_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_ROUNDS = 64
 # compositeness_witness divides by the primes up to this bound before Miller-Rabin.
 TRIAL_BOUND = 10**6
-# trial_division divides by the primes up to this bound before Pollard-Brent.
+# prime_factors divides by the primes up to this bound before Pollard-Brent.
 FACTOR_TRIAL_BOUND = 10**5
 # Pollard-Brent iterations per attempt before a cofactor counts as resisting.
 RHO_EFFORT = 10**6
@@ -283,18 +283,19 @@ def _pollard_brent(n: int, rng: random.Random) -> int | None:
     return None
 
 
-def trial_division(n: int) -> Iterator[tuple[int, int]]:
-    """Yield (p, e) with p**e exactly dividing |n|, p ascending, for every
-    prime p <= FACTOR_TRIAL_BOUND dividing n.
+def prime_factors(n: int) -> Iterator[tuple[int, int]]:
+    """Yield (p, e) with p**e exactly dividing |n| for every prime p of |n|,
+    p ascending: first the primes <= FACTOR_TRIAL_BOUND, then the
+    Pollard-Brent split of the cofactor they leave, sorted.
 
-    Each p is the smallest prime divisor of the current cofactor m up to
-    isqrt(m), from _smallest_prime_divisor; the walk stops when there is
-    none.  Runs lazily, so a caller that needs only the smallest primes
-    stops it early.  A cofactor below the square of the last trial prime
-    then has no prime factor up to its root, so it is prime and is yielded
-    last, whatever its size.  Otherwise what is left, |n| divided by every
-    yielded p**e, is 1 or has no prime factor <= FACTOR_TRIAL_BOUND, and is
-    not factored here.
+    Each trial prime is the smallest prime divisor of the current cofactor m
+    up to isqrt(m), from _smallest_prime_divisor; the walk stops when there
+    is none.  The m it leaves has no prime factor up to min(isqrt(m), the
+    last trial prime), so every piece of m below the square of the last
+    trial prime is prime without a test.  Runs lazily: a caller that
+    stops inside the trial primes never starts Pollard-Brent.  Raises
+    EffortExceeded when a composite cofactor resists splitting within
+    RHO_EFFORT.
     """
     if n == 0:
         raise ValueError("cannot factorize 0")
@@ -306,29 +307,12 @@ def trial_division(n: int) -> Iterator[tuple[int, int]]:
             m //= p
             e += 1
         yield p, e
-    if 1 < m < primes[-1] ** 2:
-        yield m, 1
-
-
-def prime_factors(n: int) -> Iterator[tuple[int, int]]:
-    """Yield (p, e) with p**e exactly dividing |n| for every prime p of |n|,
-    p ascending: trial_division's pairs, then the Pollard-Brent split of the
-    cofactor it leaves, sorted.
-
-    Runs lazily: a caller that stops inside trial_division's pairs never
-    starts Pollard-Brent.  Raises EffortExceeded when a composite cofactor
-    resists splitting within RHO_EFFORT.
-    """
-    m = abs(n)
-    for p, e in trial_division(n):
-        yield p, e
-        m //= p**e
     counts: dict[int, int] = {}
     rng = random.Random(0xFAC70)
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()
-        if is_prime(m):
+        if m < primes[-1] ** 2 or is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
         d = _pollard_brent(m, rng)

@@ -76,17 +76,24 @@ def _write(text: str, args) -> None:
 
 
 def _render(payload: dict, indent: int = 0) -> str:
+    """payload as indented `key: value` lines; a list of records is given by count."""
     lines = []
     pad = "  " * indent
     for key, value in payload.items():
         if isinstance(value, dict):
             lines.append(f"{pad}{key}:")
             lines.append(_render(value, indent + 1))
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
+        elif isinstance(value, list) and value and isinstance(value[0], (dict, tuple)):
             lines.append(f"{pad}{key}: [{len(value)} entries]")
         else:
             lines.append(f"{pad}{key}: {value}")
     return "\n".join(lines)
+
+
+def _report_fields(report: verifier.VerificationReport) -> dict:
+    """The report's keys for _render, which gives its certificates by count."""
+    head, tail = report.json_fields()
+    return head | {"certificates": list(report.certificates)} | tail
 
 
 def _int_digits(n: int) -> dict:
@@ -111,7 +118,7 @@ def cmd_construct(args) -> int:
         head = json.dumps(payload, indent=2)[:-2]
         _write(f'{head},\n  "report": {report.to_json("  ")}\n}}', args)
     else:
-        _write(_render(payload | {"report": report.to_dict()}), args)
+        _write(_render(payload | {"report": _report_fields(report)}), args)
     return EXIT_PASS if report.verdict else EXIT_FAIL
 
 
@@ -119,7 +126,7 @@ def cmd_verify(args) -> int:
     params = RecurrenceParams(args.a, args.b)
     seed = SeedPair(args.x0, args.x1)
     report = verifier.verify(params, seed, args.terms)
-    _write(report.to_json() if args.json else _render(report.to_dict()), args)
+    _write(report.to_json() if args.json else _render(_report_fields(report)), args)
     return EXIT_PASS if report.verdict else EXIT_FAIL
 
 

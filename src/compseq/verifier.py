@@ -98,6 +98,30 @@ class VerificationReport:
             texts.append((text, digits))
         return texts
 
+    def json_fields(self) -> tuple[dict, dict]:
+        """The keys before and after "certificates", as to_json writes them.
+        Text mode prints these with the certificates by count, so it converts
+        no term to decimal."""
+        head = {
+            "params": {"a": self.params.a, "b": self.params.b},
+            "seed": {
+                "x0": decimal_digits(self.seed.x0)[0],
+                "x1": decimal_digits(self.seed.x1)[0],
+            },
+            "horizon": self.horizon,
+            "verdict": "pass" if self.verdict else "fail",
+            "coprime_ok": self.coprime_ok,
+            "failures": list(self.failures),
+        }
+        c = self.construction
+        tail = {"strategy": c.strategy if c is not None else None}
+        if c is not None and c.support is not None:
+            tail["triples"] = [{"p": p, "m": m, "r": r} for p, r, m in c.rules]
+            tail.update(P=c.support.P, y=c.support.y, z=c.support.z)
+        if self.covering_law_ok is not None:
+            tail["covering_law_ok"] = self.covering_law_ok
+        return head, tail
+
     def to_json(self, pad: str = "") -> str:
         """The report as `json.dumps(self.to_dict(), indent=2)` writes it, with
         every line after the first prefixed by pad; terms and seeds are
@@ -125,24 +149,7 @@ class VerificationReport:
             for cert, (term, digits) in zip(self.certificates, self._term_texts())
         )
         certificates = f"[\n{certificates}\n  ]" if certificates else "[]"
-        head = {
-            "params": {"a": self.params.a, "b": self.params.b},
-            "seed": {
-                "x0": decimal_digits(self.seed.x0)[0],
-                "x1": decimal_digits(self.seed.x1)[0],
-            },
-            "horizon": self.horizon,
-            "verdict": "pass" if self.verdict else "fail",
-            "coprime_ok": self.coprime_ok,
-            "failures": list(self.failures),
-        }
-        c = self.construction
-        tail = {"strategy": c.strategy if c is not None else None}
-        if c is not None and c.support is not None:
-            tail["triples"] = [{"p": p, "m": m, "r": r} for p, r, m in c.rules]
-            tail.update(P=c.support.P, y=c.support.y, z=c.support.z)
-        if self.covering_law_ok is not None:
-            tail["covering_law_ok"] = self.covering_law_ok
+        head, tail = self.json_fields()
         text = (
             f"{json.dumps(head, indent=2)[:-2]},\n"  # without its closing "\n}"
             f'  "certificates": {certificates},\n'

@@ -1,6 +1,9 @@
-"""Closed forms and identities from the paper that the tests check the
-library against; nothing in compseq calls them."""
+"""Closed forms and identities from the paper, and reference versions of
+library code, that the tests check the library against; nothing in compseq
+calls them."""
 
+from compseq.arith import EffortExceeded, factorize
+from compseq.covering import _TEMPLATES, Rule, validate_triples
 from compseq.lucas import LucasContext
 from compseq.recurrence import RecurrenceParams, SeedPair, terms
 
@@ -47,3 +50,43 @@ def check_divisibility(ctx: LucasContext, m: int, n: int) -> bool:
     if um == 0:
         return un == 0
     return un % um == 0
+
+
+def eager_search_triples(params: RecurrenceParams) -> tuple[Rule, ...] | None:
+    """covering.search_triples as it was with a complete factorization of
+    every u_m it touches: an EffortExceeded empties that u_m's candidates.
+    Wherever no u_m resists, the lazy search must return the same rules."""
+    if abs(params.b) != 1 or abs(params.a) < 2:
+        raise ValueError("requires |b| = 1 and |a| >= 2")
+    ctx = LucasContext(params)
+    prime_pool: dict[int, tuple[int, ...]] = {}
+
+    def primes_of_u(m: int) -> tuple[int, ...]:
+        if m not in prime_pool:
+            try:
+                prime_pool[m] = factorize(ctx.u(m)).primes()
+            except EffortExceeded:
+                prime_pool[m] = ()
+        return prime_pool[m]
+
+    for template in _TEMPLATES:
+        assignment: list[int] = []
+
+        def assign(i: int) -> bool:
+            if i == len(template):
+                return True
+            m, _ = template[i]
+            for p in primes_of_u(m):
+                if p in assignment:
+                    continue
+                assignment.append(p)
+                if assign(i + 1):
+                    return True
+                assignment.pop()
+            return False
+
+        if assign(0):
+            rules = tuple(Rule(p, r, m) for p, (m, r) in zip(assignment, template))
+            if not validate_triples(params, rules):
+                return rules
+    return None

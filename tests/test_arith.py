@@ -32,7 +32,6 @@ from compseq.arith import (
     prime_factors,
     small_primes,
     sqrt_if_square,
-    trial_division,
 )
 
 
@@ -286,7 +285,7 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize(0)
         with pytest.raises(ValueError):
-            list(trial_division(0))
+            list(prime_factors(0))
 
 
 LAST_TRIAL_PRIME = sympy.prevprime(FACTOR_TRIAL_BOUND)
@@ -305,36 +304,31 @@ TRIAL_EDGE_PRIMES = sorted(
 )
 
 
-def assert_prefix_of_factorization(n):
-    """trial_division(n) is a prefix of the factorization of |n| by sympy, and
-    leaves 1 or a cofactor with no prime factor <= FACTOR_TRIAL_BOUND that
-    it could not prove prime; prime_factors(n) is the whole of it."""
-    found = list(trial_division(n))
-    full = sorted(sympy.factorint(abs(n)).items())
-    assert list(prime_factors(n)) == full, n
-    assert found == full[: len(found)], n
-    assert all(p > FACTOR_TRIAL_BOUND for p, _ in full[len(found) :]), n
-    rest = abs(n) // math.prod(p**e for p, e in found)
-    assert rest == 1 or rest > LAST_TRIAL_PRIME**2, n
+def assert_factorization(n):
+    """prime_factors(n) is the factorization of |n| by sympy."""
+    assert list(prime_factors(n)) == sorted(sympy.factorint(abs(n)).items()), n
 
 
 class TestTrialDivision:
+    """prime_factors's walk over the primes up to FACTOR_TRIAL_BOUND."""
+
     def test_edges(self):
         q = sympy.nextprime(FACTOR_TRIAL_BOUND)
-        assert list(trial_division(-2 * LAST_TRIAL_PRIME)) == [(2, 1), (LAST_TRIAL_PRIME, 1)]
-        assert list(trial_division(LAST_TRIAL_PRIME**2)) == [(LAST_TRIAL_PRIME, 2)]
-        assert list(trial_division(LAST_TRIAL_PRIME * q)) == [(LAST_TRIAL_PRIME, 1), (q, 1)]
-        assert list(trial_division(12 * q)) == [(2, 2), (3, 1), (q, 1)]
-        # q^2 passes every trial prime but is not below LAST_TRIAL_PRIME^2.
-        assert list(trial_division(q * q)) == []
-        assert list(trial_division(1)) == []
+        assert list(prime_factors(-2 * LAST_TRIAL_PRIME)) == [(2, 1), (LAST_TRIAL_PRIME, 1)]
+        assert list(prime_factors(LAST_TRIAL_PRIME**2)) == [(LAST_TRIAL_PRIME, 2)]
+        assert list(prime_factors(LAST_TRIAL_PRIME * q)) == [(LAST_TRIAL_PRIME, 1), (q, 1)]
+        assert list(prime_factors(12 * q)) == [(2, 2), (3, 1), (q, 1)]
+        # q^2 passes every trial prime but is not below LAST_TRIAL_PRIME^2,
+        # so Pollard-Brent splits it.
+        assert list(prime_factors(q * q)) == [(q, 2)]
+        assert list(prime_factors(1)) == []
         # The block edge primes, their squares and cubes, and every product
         # of two of these.
         powers = [p**e for p in BLOCK_EDGE_PRIMES for e in (1, 2, 3)]
         for i, x in enumerate(powers):
-            assert_prefix_of_factorization(x)
+            assert_factorization(x)
             for y in powers[i + 1 :]:
-                assert_prefix_of_factorization(-x * y)
+                assert_factorization(-x * y)
 
     def test_walk_stops_at_the_root_of_the_cofactor(self, monkeypatch):
         # Once 2**40 is divided out, the cofactor 1000003 needs primes up to
@@ -347,7 +341,7 @@ class TestTrialDivision:
             return math.gcd(x, y)
 
         monkeypatch.setattr(arith, "math", SimpleNamespace(**{**vars(math), "gcd": gcd}))
-        assert list(trial_division(2**40 * 1000003)) == [(2, 40), (1000003, 1)]
+        assert list(prime_factors(2**40 * 1000003)) == [(2, 40), (1000003, 1)]
         assert seen
         assert not [y.bit_length() for y in seen if math.gcd(y, below_root) == 1]
 
@@ -360,8 +354,8 @@ class TestTrialDivision:
         powers=st.lists(st.integers(1, 3), min_size=4, max_size=4),
         sign=st.sampled_from((1, -1)),
     )
-    def test_a_prefix_of_the_factorization(self, primes, powers, sign):
-        assert_prefix_of_factorization(sign * math.prod(p**e for p, e in zip(primes, powers)))
+    def test_matches_sympy_at_the_trial_edges(self, primes, powers, sign):
+        assert_factorization(sign * math.prod(p**e for p, e in zip(primes, powers)))
 
 
 class TestPrimeFactors:
@@ -374,7 +368,7 @@ class TestPrimeFactors:
         assert list(prime_factors(n)) == sorted(sympy.factorint(abs(n)).items())
 
     def test_lazy_past_trial_division(self, monkeypatch):
-        # 12 * p * q: trial division yields 2 and 3 and leaves p * q, which
+        # 12 * p * q: the trial walk yields 2 and 3 and leaves p * q, which
         # only the Pollard-Brent stage could split.
         def refuse(*args):
             raise AssertionError("Pollard-Brent ran")
@@ -385,6 +379,22 @@ class TestPrimeFactors:
         assert [next(stream), next(stream)] == [(2, 2), (3, 1)]
         with pytest.raises(AssertionError, match="Pollard-Brent ran"):
             next(stream)
+
+
+    def test_pieces_below_the_trial_square_need_no_primality_test(self, monkeypatch):
+        # Every piece Pollard-Brent splits off q1 * q2^2 * q3 is free of trial
+        # primes, so one below LAST_TRIAL_PRIME^2 is prime without is_prime.
+        tested = []
+
+        def spy(m):
+            tested.append(m)
+            return is_prime(m)
+
+        monkeypatch.setattr(arith, "is_prime", spy)
+        q1 = sympy.nextprime(FACTOR_TRIAL_BOUND)
+        q2, q3 = sympy.nextprime(q1), sympy.nextprime(10**12)
+        assert list(prime_factors(q1 * q2**2 * q3)) == [(q1, 1), (q2, 2), (q3, 1)]
+        assert tested and min(tested) >= LAST_TRIAL_PRIME**2
 
 
 class TestCrt:

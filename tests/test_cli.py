@@ -144,6 +144,21 @@ class TestOther:
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="Python has no int-to-str digit limit")
+    def test_text_mode_converts_no_term_past_the_digit_limit(self, capsys):
+        # x_3200 of the Vsemirnov pair has about 680 digits.  Text mode prints
+        # the certificates by count, so only --json meets the limit.
+        argv = ["verify", "-a", "1", "-b", "1", "--x0", "106276436867", "--x1", "35256392432", "--terms", "3200"]
+        saved = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            assert main(argv) == EXIT_PASS
+            assert "certificates: [3201 entries]\n" in capsys.readouterr().out
+            assert main([*argv, "--json"]) == EXIT_TOO_LARGE
+            assert capsys.readouterr().out == ""
+        finally:
+            sys.set_int_max_str_digits(saved)
+
     def test_effort_exceeded_exit_code(self, capsys, monkeypatch):
         from compseq import arith, constructor
 

@@ -1,7 +1,9 @@
 import math
 
 import pytest
+from oracles import eager_search_triples
 
+from compseq import arith, covering
 from compseq.covering import (
     _TEMPLATES,
     Rule,
@@ -9,6 +11,7 @@ from compseq.covering import (
     search_triples,
     validate_triples,
 )
+from compseq.lucas import LucasContext
 from compseq.recurrence import RecurrenceParams
 
 
@@ -130,3 +133,59 @@ class TestSearch:
             search_triples(RecurrenceParams(1, 1))
         with pytest.raises(ValueError):
             search_triples(RecurrenceParams(5, 2))
+
+
+class TestSearchReadsOnDemand:
+    """search_triples reads one prime_factors stream per u_m, only as far as
+    the backtracking asks; where no u_m resists splitting, it returns what a
+    search over complete factorizations returns."""
+
+    def test_matches_the_eager_search_for_small_a(self):
+        for a in range(-200, 201):
+            for b in (1, -1):
+                if abs(a) >= 2:
+                    params = RecurrenceParams(a, b)
+                    assert search_triples(params) == eager_search_triples(params), (a, b)
+
+    @pytest.mark.parametrize("a", [999999999989, -(1000003**2), 1009**3, 10**9 + 7, -(2**31 - 1), 3**19])
+    @pytest.mark.parametrize("b", [1, -1])
+    def test_matches_the_eager_search_for_prime_powers_above_1e9(self, a, b):
+        params = RecurrenceParams(a, b)
+        rules = search_triples(params)
+        assert rules is not None and rules == eager_search_triples(params)
+
+    def test_mersenne_61_needs_no_pollard_brent(self, monkeypatch):
+        # u_2 = p1 is prime, and 3 and 19 divide u_4 = p1 * (p1^2 + 2): the
+        # search stops reading before the cofactor that resists splitting.
+        def refuse(*args):
+            raise AssertionError("Pollard-Brent ran")
+
+        monkeypatch.setattr(arith, "_pollard_brent", refuse)
+        p1 = 2**61 - 1
+        assert search_triples(RecurrenceParams(p1, 1)) == triples((p1, 2, 0), (3, 4, 1), (19, 4, 3))
+
+    def test_one_prime_factors_call_per_modulus(self, monkeypatch):
+        # (-9, -1) tries the templates mod 2 and mod 4 before the mod 6 one
+        # succeeds, and reads u_2 in all three.
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return arith.prime_factors(n)
+
+        monkeypatch.setattr(covering, "prime_factors", counting)
+        params = RecurrenceParams(-9, -1)
+        assert search_triples(params) == triples((3, 2, 0), (2, 6, 1), (5, 6, 3), (13, 6, 5))
+        ctx = LucasContext(params)
+        assert calls == [ctx.u(2), ctx.u(4), ctx.u(6)]
+
+    def test_effort_exceeded_ends_the_candidates_where_splitting_gave_up(self, monkeypatch):
+        # With every split refused, u_4 = p1 * (p1^2 - 2) gives no prime at
+        # all, and u_6 only its trial primes 2, 3, 5, ... before the refusal;
+        # those still complete the mod 6 template.  The eager search loses
+        # all of u_6's primes to the same refusal and finds nothing.
+        monkeypatch.setattr(arith, "_pollard_brent", lambda n, rng: None)
+        p1 = 2**61 - 1
+        params = RecurrenceParams(p1, -1)
+        assert search_triples(params) == triples((p1, 2, 0), (2, 6, 1), (3, 6, 3), (5, 6, 5))
+        assert eager_search_triples(params) is None

@@ -50,7 +50,7 @@ def test_json_output_is_unchanged(capsys, command, code, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-# Without --json: the text rendering, which reads the report through to_dict.
+# Without --json: the text rendering, which gives the certificates by count.
 GOLDEN_TEXT = [
     ("construct -a -9 -b -1", 0, "9d790ccaf5429e064dfefffe3d59caeaaaa0273e970c3105bb6a4a1d24ad1ce9"),
     ("construct -a 8 -b 1", 0, "9566fb473dbe5405d998cbc9c2679e700171b11765916d76697c283a45271fdd"),
