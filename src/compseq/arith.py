@@ -48,9 +48,13 @@ COPRIME_SHIFT_CAP = 10**6
 # every n with a prime factor <= SCREEN_BOUND by gcd before Miller-Rabin.
 SCREEN_BOUND = 4096
 # Primes per chunk of the gcd table.  The 564 primes below SCREEN_BOUND are
-# exactly the first four chunks, so the screen needs no partial product.
+# exactly the first four chunks, so the screen needs no partial product.  The
+# walk splits the first chunk into two blocks: the FIRST_BLOCK_PRIMES primes
+# below 100, then the other 116.  Almost every term of a covering sequence has
+# a factor below 100, and then costs one small gcd.
 CHUNK_PRIMES = 141
 SCREEN_CHUNKS = 4
+FIRST_BLOCK_PRIMES = 25
 # Chunks per group past the screen: _smallest_prime_divisor takes one gcd per
 # group there and splits only a group that shares a factor into its chunks.
 GROUP_CHUNKS = 16
@@ -91,22 +95,28 @@ def _smallest_prime_divisor(m: int, primes: list[int], limit: int) -> int | None
     """The smallest p in `primes`, a list from small_primes, with p <= limit
     that divides m, or None.
 
-    One gcd per chunk of the screen, then one per group of GROUP_CHUNKS
-    chunks, the last cut short where the list ends.  Only a block that shares
-    a factor with m is split, and only the first of its chunks that shares
-    one is scanned prime by prime.
+    One gcd per block: the first FIRST_BLOCK_PRIMES primes, the rest of the
+    first chunk, each other chunk of the screen, then groups of GROUP_CHUNKS
+    chunks, the last cut short where the list ends.  A block of one chunk or
+    less that shares a factor with m is scanned prime by prime at once, with
+    no second gcd.  A group that shares one takes a gcd per chunk until one
+    shares it too (the last chunk needs none), and only that chunk is
+    scanned.
     """
     screen = SCREEN_CHUNKS * CHUNK_PRIMES
     lo = 0
     while lo < len(primes) and primes[lo] <= limit:
-        hi = min(lo + (CHUNK_PRIMES if lo < screen else GROUP_CHUNKS * CHUNK_PRIMES), len(primes))
+        step = CHUNK_PRIMES if lo < screen else GROUP_CHUNKS * CHUNK_PRIMES
+        hi = min(lo - lo % CHUNK_PRIMES + step if lo else FIRST_BLOCK_PRIMES, len(primes))
         g = math.gcd(m, _block_product(primes, lo, hi))
         if g == 1:
             lo = hi
             continue
-        while math.gcd(g, _block_product(primes, lo, min(lo + CHUNK_PRIMES, hi))) == 1:
-            lo += CHUNK_PRIMES
-        for p in primes[lo : lo + CHUNK_PRIMES]:
+        if hi - lo > CHUNK_PRIMES:
+            while lo + CHUNK_PRIMES < hi and math.gcd(g, _block_product(primes, lo, lo + CHUNK_PRIMES)) == 1:
+                lo += CHUNK_PRIMES
+            hi = min(lo + CHUNK_PRIMES, hi)
+        for p in primes[lo:hi]:
             if g % p == 0:
                 return p if p <= limit else None
     return None

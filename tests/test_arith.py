@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from types import SimpleNamespace
@@ -11,6 +12,7 @@ from compseq import arith
 from compseq.arith import (
     CHUNK_PRIMES,
     FACTOR_TRIAL_BOUND,
+    FIRST_BLOCK_PRIMES,
     GROUP_CHUNKS,
     MR_DETERMINISTIC_BASES,
     MR_DETERMINISTIC_BOUND,
@@ -177,13 +179,15 @@ def plain_loop_witness(n, trial_bound):
             return MillerRabinBase(a)
 
 
-# Primes on either side of a chunk boundary of the gcd table (and of the
-# 128th prime), of the is_prime screen, and of both trial bounds below; and
-# of the first, second and last group of chunks the scan to 10**6 takes.
+# Primes on either side of the first block's end (97 and 101), of a chunk
+# boundary of the gcd table (and of the 128th prime), of the is_prime screen,
+# and of both trial bounds below; and of the first, second and last group of
+# chunks the scan to 10**6 takes.
 SCREEN_PRIMES, GROUP_PRIMES = SCREEN_CHUNKS * CHUNK_PRIMES, GROUP_CHUNKS * CHUNK_PRIMES
 GROUP_STARTS = [SCREEN_PRIMES + j * GROUP_PRIMES for j in (0, 1, (sympy.primepi(10**6) - SCREEN_PRIMES) // GROUP_PRIMES)]
 EDGE_PRIMES = sorted(
-    {sympy.prime(i) for i in (128, 129, CHUNK_PRIMES, CHUNK_PRIMES + 1, 2 * CHUNK_PRIMES, 2 * CHUNK_PRIMES + 1)}
+    {sympy.prime(i) for i in (FIRST_BLOCK_PRIMES, FIRST_BLOCK_PRIMES + 1)}
+    | {sympy.prime(i) for i in (128, 129, CHUNK_PRIMES, CHUNK_PRIMES + 1, 2 * CHUNK_PRIMES, 2 * CHUNK_PRIMES + 1)}
     | {sympy.prime(i) for lo in GROUP_STARTS for i in (lo, lo + 1)}
     | {f(bound) for bound in (SCREEN_BOUND, 10**4, 10**6) for f in (sympy.prevprime, sympy.nextprime)}
 )
@@ -206,6 +210,25 @@ def test_witness_matches_plain_loop_at_chunk_and_bound_edges(p, k, q, trial_boun
         mp.setattr(arith, "TRIAL_BOUND", trial_bound)
         for n in (p * k, -p * k, p * sympy.nextprime(p), p * p, p * q, -p * q * k):
             assert compositeness_witness(n) == plain_loop_witness(n, trial_bound), n
+
+
+@pytest.mark.parametrize("p", [2, 97])
+def test_a_factor_below_100_costs_one_small_gcd(monkeypatch, p):
+    # A 2048-bit m whose smallest prime is below 100 is found by one gcd with
+    # the product of those 25 primes and a scan of what it shares, with no
+    # gcd against a larger block and none to descend into this one.
+    below_p = math.prod(small_primes(p - 1))
+    m = p * next(r for r in itertools.count(-(-(2**2047) // p)) if math.gcd(r, below_p) == 1)
+    assert m.bit_length() == 2048
+    seen = []
+
+    def gcd(x, y):
+        seen.append(y)
+        return math.gcd(x, y)
+
+    monkeypatch.setattr(arith, "math", SimpleNamespace(**{**vars(math), "gcd": gcd}))
+    assert arith._smallest_prime_divisor(m, small_primes(TRIAL_BOUND), TRIAL_BOUND) == p
+    assert seen == [math.prod(small_primes(100))]
 
 
 def assert_witness_agrees_with_is_prime(n):
@@ -289,12 +312,18 @@ class TestFactorize:
 
 
 LAST_TRIAL_PRIME = sympy.prevprime(FACTOR_TRIAL_BOUND)
-# The primes on both sides of each block edge of the walk: the first chunk
-# edge, the end of the screen and the end of the first group; then the last
-# trial prime and the first prime past it.
+# The primes on both sides of each block edge of the walk: the end of the
+# first block (97 and 101), the first chunk edge, the end of the screen and
+# the end of the first group; then the last trial prime and the first prime
+# past it.
 BLOCK_EDGE_PRIMES = [
     sympy.prime(k + i)
-    for k in (CHUNK_PRIMES, SCREEN_CHUNKS * CHUNK_PRIMES, (SCREEN_CHUNKS + GROUP_CHUNKS) * CHUNK_PRIMES)
+    for k in (
+        FIRST_BLOCK_PRIMES,
+        CHUNK_PRIMES,
+        SCREEN_CHUNKS * CHUNK_PRIMES,
+        (SCREEN_CHUNKS + GROUP_CHUNKS) * CHUNK_PRIMES,
+    )
     for i in (0, 1)
 ] + [LAST_TRIAL_PRIME, sympy.nextprime(FACTOR_TRIAL_BOUND)]
 # Those, and primes on both sides of the root of the trial bound.
