@@ -17,9 +17,7 @@ from .arith import (
     coprime_shift,
     crt_solve,
     factorize,
-    is_perfect_square,
     is_prime,
-    sqrt_if_square,
 )
 from .constructor import (
     ConstructionResult,
@@ -59,12 +57,10 @@ __all__ = [
     "derive_seed_from_triples",
     "factorize",
     "is_covering",
-    "is_perfect_square",
     "is_prime",
     "iter_terms",
     "rank_of_apparition",
     "search_triples",
-    "sqrt_if_square",
     "terms",
     "validate_triples",
     "verify",

@@ -1,9 +1,9 @@
 """Arbitrary-precision integer utilities.
 
-Primality testing, compositeness witnesses, factorization, perfect-square
-detection, and a Chinese remainder solver.  Everything here is a pure
-function of its inputs: the random Miller-Rabin bases and Pollard-Brent
-starts come from generators with fixed seeds.
+Primality testing, compositeness witnesses, factorization, a Chinese
+remainder solver, and integer texts for failure messages.  Everything here
+is a pure function of its inputs: the random Miller-Rabin bases and
+Pollard-Brent starts come from generators with fixed seeds.
 """
 
 from __future__ import annotations
@@ -227,16 +227,12 @@ def compositeness_witness(n: int) -> Witness:
     return NotComposite() if base is None else MillerRabinBase(base)
 
 
-def sqrt_if_square(n: int) -> int | None:
-    """Integer square root of n when n is a perfect square, else None."""
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-def is_perfect_square(n: int) -> bool:
-    return sqrt_if_square(n) is not None
+def int_text(n: int) -> str:
+    """n in decimal, or "<B-bit integer>" past Python's int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"<{n.bit_length()}-bit integer>"
 
 
 @dataclass(frozen=True)
@@ -245,12 +241,6 @@ class PrimeFactorization:
 
     value: int
     factors: tuple[tuple[int, int], ...]
-
-    def reassemble(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)

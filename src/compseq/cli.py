@@ -76,24 +76,25 @@ def _write(text: str, args) -> None:
 
 
 def _render(payload: dict, indent: int = 0) -> str:
-    """payload as indented `key: value` lines; a list of records is given by count."""
+    """payload as indented `key: value` lines, each record of a list as such a block."""
     lines = []
     pad = "  " * indent
     for key, value in payload.items():
         if isinstance(value, dict):
             lines.append(f"{pad}{key}:")
             lines.append(_render(value, indent + 1))
-        elif isinstance(value, list) and value and isinstance(value[0], (dict, tuple)):
-            lines.append(f"{pad}{key}: [{len(value)} entries]")
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            lines.append(f"{pad}{key}:")
+            lines += (f"{pad}  - {_render(record, indent + 2).lstrip()}" for record in value)
         else:
             lines.append(f"{pad}{key}: {value}")
     return "\n".join(lines)
 
 
 def _report_fields(report: verifier.VerificationReport) -> dict:
-    """The report's keys for _render, which gives its certificates by count."""
+    """The report's keys for _render, its certificates by count (no term in decimal)."""
     head, tail = report.json_fields()
-    return head | {"certificates": list(report.certificates)} | tail
+    return head | {"certificates": f"[{len(report.certificates)} entries]"} | tail
 
 
 def _int_digits(n: int) -> dict:

@@ -13,7 +13,7 @@ from contextlib import suppress
 from itertools import tee
 from typing import Iterator, NamedTuple, Sequence
 
-from .arith import EffortExceeded, is_prime, prime_factors
+from .arith import EffortExceeded, int_text, is_prime, prime_factors
 from .arith import factorize  # noqa: F401  unused; bench/test_bench.py expects tracing to patch it here
 from .lucas import LucasContext
 from .recurrence import RecurrenceParams
@@ -28,6 +28,9 @@ class Rule(NamedTuple):
     d: int
     start: int
     step: int
+
+    def __repr__(self) -> str:  # prints past the int-to-str limit, as failure texts must
+        return f"Rule(d={int_text(self.d)}, start={int_text(self.start)}, step={int_text(self.step)})"
 
 
 class CoveringCheck(NamedTuple):
@@ -67,17 +70,17 @@ def validate_triples(params: RecurrenceParams, rules: Sequence[Rule]) -> tuple[s
         return tuple(failures)
     primes = tuple(t.d for t in rules)
     if len(set(primes)) != len(primes):
-        failures.append(f"primes not distinct: {primes}")
+        failures.append(f"primes not distinct: ({', '.join(map(int_text, primes))})")
     for t in rules:
         if not is_prime(t.d):
-            failures.append(f"{t.d} is not prime in {t}")
+            failures.append(f"{int_text(t.d)} is not prime in {t}")
     check = is_covering([(m, r) for _, r, m in rules])
     if not check.covered:
         failures.append(f"classes do not cover: {check.first_uncovered} is missed")
     ctx = LucasContext(params)
     for t in rules:
-        if ctx.u(t.step) % t.d != 0:
-            failures.append(f"{t.d} does not divide u_{t.step} = {ctx.u(t.step)} in {t}")
+        if (u := ctx.u(t.step)) % t.d != 0:
+            failures.append(f"{int_text(t.d)} does not divide u_{t.step} = {int_text(u)} in {t}")
     return tuple(failures)
 
 

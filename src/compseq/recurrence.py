@@ -1,16 +1,13 @@
 """Second-order linear recurrences x_{n+1} = a*x_n + b*x_{n-1}.
 
-Exact arbitrary-precision term generation, the same run in base 10 for
-decimal output, plus the strict-growth check for |a| > |b| with
-|x0| < |x1|.
+Exact arbitrary-precision term generation, and the same run in base 10
+for decimal output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator
-
-DEFAULT_HORIZON = 200
 
 
 @dataclass(frozen=True)
@@ -90,10 +87,3 @@ def decimal_texts(params: RecurrenceParams, seed: SeedPair, n: int) -> list[str]
             y = zero  # Decimal keeps the sign of zero; x_n = 0 prints as "0"
     return texts
 
-
-def is_strictly_growing(
-    params: RecurrenceParams, seed: SeedPair, horizon: int = DEFAULT_HORIZON
-) -> bool:
-    """True iff |x_n| < |x_{n+1}| for every n < horizon."""
-    xs = terms(params, seed, horizon)
-    return all(abs(xs[i]) < abs(xs[i + 1]) for i in range(horizon))

@@ -23,6 +23,7 @@ from .arith import (
     Witness,
     compositeness_witness,
     factorize,  # noqa: F401  unused; bench/test_bench.py expects tracing to patch it here
+    int_text,
 )
 from .covering import validate_triples
 from .recurrence import RecurrenceParams, SeedPair, decimal_texts, iter_terms, terms
@@ -74,13 +75,6 @@ class VerificationReport:
     certificates: tuple[CompositenessCertificate, ...]
     construction: C.ConstructionResult | None = None
     covering_law_ok: bool | None = None
-
-    @property
-    def first_failure_index(self) -> int | None:
-        for cert in self.certificates:
-            if isinstance(cert.witness, NotComposite):
-                return cert.index
-        return None
 
     def _term_texts(self) -> list[tuple[str, int]]:
         """Each certificate's term in decimal with its digit count; see to_json."""
@@ -181,7 +175,7 @@ def verify(
     failures: list[str] = []
     coprime_ok = math.gcd(seed.x0, seed.x1) == 1
     if not coprime_ok:
-        failures.append(f"gcd(x0, x1) = {math.gcd(seed.x0, seed.x1)} != 1")
+        failures.append(f"gcd(x0, x1) = {int_text(math.gcd(seed.x0, seed.x1))} != 1")
     if seed.x0 <= 0:
         failures.append("x0 not positive")
     if seed.x1 <= 0:
@@ -205,7 +199,7 @@ def verify(
                 claimed[n] = 1
                 t = abs(xs[n])
                 if not (1 < d < t and t % d == 0):
-                    failures.append(f"claimed {d} is not a proper divisor of x_{n}")
+                    failures.append(f"claimed {int_text(d)} is not a proper divisor of x_{n}")
                 elif witnesses[n] is None:
                     witnesses[n] = witness
         if not all(claimed):
@@ -215,11 +209,7 @@ def verify(
         if witness is None:
             witness = witnesses[n] = compositeness_witness(xs[n])
             if isinstance(witness, NotComposite):
-                try:
-                    failures.append(f"|x_{n}| = {abs(xs[n])} is not composite")
-                except ValueError:  # past the int-to-str limit
-                    bits = xs[n].bit_length()
-                    failures.append(f"|x_{n}|, a {bits}-bit integer, is not composite")
+                failures.append(f"|x_{n}| = {int_text(abs(xs[n]))} is not composite")
     certificates = tuple(map(CompositenessCertificate, range(size), xs, witnesses))
 
     return VerificationReport(

@@ -2,6 +2,8 @@
 library code, that the tests check the library against; nothing in compseq
 calls them."""
 
+import math
+
 from compseq.arith import EffortExceeded, factorize
 from compseq.covering import _TEMPLATES, Rule, validate_triples
 from compseq.lucas import LucasContext
@@ -26,6 +28,18 @@ def square_gap_holds(a: int, b: int) -> bool:
     lo = (4 * b**4 + a * b - 2) ** 2
     hi = (4 * b**4 + a * b) ** 2
     return lo < mid < hi
+
+
+def is_square(n: int) -> bool:
+    """True iff n is the square of an integer."""
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
+def is_strictly_growing(params: RecurrenceParams, seed: SeedPair, horizon: int) -> bool:
+    """True iff |x_n| < |x_{n+1}| for every n < horizon (Lemma 2 for |a| > |b|
+    with |x0| < |x1|)."""
+    xs = terms(params, seed, horizon)
+    return all(abs(xs[i]) < abs(xs[i + 1]) for i in range(horizon))
 
 
 def lemma1_residual(params: RecurrenceParams, seed: SeedPair, n: int) -> int:

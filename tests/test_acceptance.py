@@ -8,16 +8,10 @@ import math
 import time
 
 from compseq import constructor as C
-from compseq.arith import is_perfect_square
 from compseq.lucas import LucasContext, composite_scan, conjecture_scan
-from compseq.recurrence import (
-    RecurrenceParams,
-    SeedPair,
-    is_strictly_growing,
-    terms,
-)
+from compseq.recurrence import RecurrenceParams, SeedPair, terms
 from compseq.verifier import audit_table1, verify_construction
-from oracles import lemma1_residual, square_gap_holds
+from oracles import is_square, is_strictly_growing, lemma1_residual, square_gap_holds
 
 
 def report(name, started):
@@ -131,7 +125,7 @@ def test_criterion_5_property_suites():
                 continue
             assert square_gap_holds(a, b)
             mid = 16 * b**8 + 8 * a * b**5 - 8 * b**4 - 4 * b**3 - 2 * a * b + 1
-            assert not is_perfect_square(mid)
+            assert not is_square(mid)
     report("5 property suites", started)
 
 

@@ -29,11 +29,9 @@ from compseq.arith import (
     coprime_shift,
     crt_solve,
     factorize,
-    is_perfect_square,
     is_prime,
     prime_factors,
     small_primes,
-    sqrt_if_square,
 )
 
 
@@ -231,6 +229,12 @@ def test_a_factor_below_100_costs_one_small_gcd(monkeypatch, p):
     assert seen == [math.prod(small_primes(100))]
 
 
+def test_screen_is_whole_chunks():
+    # is_prime's screen to SCREEN_BOUND takes whole chunks of the gcd table,
+    # so it needs no partial product.
+    assert SCREEN_CHUNKS * CHUNK_PRIMES == len(small_primes(SCREEN_BOUND)) == 564
+
+
 def assert_witness_agrees_with_is_prime(n):
     assert isinstance(compositeness_witness(n), NotComposite) == (abs(n) < 2 or is_prime(abs(n))), n
 
@@ -254,29 +258,6 @@ def test_witness_agrees_with_is_prime(n):
     assert_witness_agrees_with_is_prime(n)
 
 
-class TestPerfectSquare:
-    def test_examples(self):
-        assert is_perfect_square(49)
-        assert sqrt_if_square(49) == 7
-        assert not is_perfect_square(-4)
-        assert not is_perfect_square(2)
-
-    def test_case2_polynomial_value(self):
-        a, b = 2, 3
-        v = 16 * b**8 + 8 * a * b**5 - 8 * b**4 - 4 * b**3 - 2 * a * b + 1
-        assert not is_perfect_square(v)
-
-    def test_squares_and_neighbors(self):
-        for k in range(1, 10**4):
-            assert is_perfect_square(k * k)
-            assert not is_perfect_square(k * k + 1)
-
-    @given(st.integers(min_value=0, max_value=10**40))
-    def test_matches_isqrt(self, n):
-        r = math.isqrt(n)
-        assert is_perfect_square(n) == (r * r == n)
-
-
 class TestFactorize:
     def test_paper_values(self):
         assert factorize(80).factors == ((2, 4), (5, 1))
@@ -288,7 +269,7 @@ class TestFactorize:
         for _ in range(100):
             n = rng.randrange(2, 10**14)
             f = factorize(n)
-            assert f.reassemble() == n
+            assert math.prod(p**e for p, e in f.factors) == n
             for p, _ in f.factors:
                 assert is_prime(p)
 

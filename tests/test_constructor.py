@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from compseq import arith
 from compseq import constructor as C
-from compseq.arith import FACTOR_TRIAL_BOUND, EffortExceeded, factorize, is_perfect_square, is_prime
+from compseq.arith import FACTOR_TRIAL_BOUND, EffortExceeded, factorize, is_prime
 from compseq.recurrence import RecurrenceParams, SeedPair, terms
 from compseq.verifier import verify_construction
-from oracles import closed_form_degenerate, square_gap_holds
+from oracles import closed_form_degenerate, is_square, square_gap_holds
 
 # The paper's 1444-vs-1144 display discrepancy for (a, b) = (9, 1): CRT
 # recomputation fixes z = 1444.
@@ -139,7 +139,12 @@ class TestSquareGap:
                     continue
                 assert square_gap_holds(a, b), (a, b)
                 mid = 16 * b**8 + 8 * a * b**5 - 8 * b**4 - 4 * b**3 - 2 * a * b + 1
-                assert not is_perfect_square(mid), (a, b)
+                assert not is_square(mid), (a, b)
+
+    def test_case2_polynomial_value(self):
+        a, b = 2, 3
+        v = 16 * b**8 + 8 * a * b**5 - 8 * b**4 - 4 * b**3 - 2 * a * b + 1
+        assert not is_square(v)
 
 
 def picks(pick, a):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from oracles import eager_search_triples
@@ -92,6 +93,28 @@ class TestValidate:
         failures = validate_triples(RecurrenceParams(3, 1), triples((3, 2, 0), (11, 4, 1)))
         assert failures
         assert any("cover" in f for f in failures)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="Python has no int-to-str digit limit")
+class TestUnprintableIntegers:
+    """A failure text names an integer past the int-to-str limit by its bit
+    length instead of raising."""
+
+    params = RecurrenceParams(10**200 + 7, 1)
+
+    def test_lucas_term(self):
+        assert validate_triples(self.params, (Rule(13, 1, 24),)) == (
+            "classes do not cover: 0 is missed",
+            "13 does not divide u_24 = <15281-bit integer> in Rule(d=13, start=1, step=24)",
+        )
+
+    def test_rule_divisor(self):
+        d, rule = "<16610-bit integer>", "Rule(d=<16610-bit integer>, start=1, step=2)"
+        assert validate_triples(self.params, (Rule(10**5000 + 1, 1, 2),)) == (
+            f"{d} is not prime in {rule}",
+            "classes do not cover: 0 is missed",
+            f"{d} does not divide u_2 = {10**200 + 7} in {rule}",
+        )
 
 
 class TestSearch:

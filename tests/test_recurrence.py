@@ -9,11 +9,10 @@ from compseq.recurrence import (
     RecurrenceParams,
     SeedPair,
     decimal_texts,
-    is_strictly_growing,
     iter_terms,
     terms,
 )
-from oracles import lemma1_residual
+from oracles import is_strictly_growing, lemma1_residual
 
 
 @given(

@@ -86,7 +86,7 @@ class TestVerify:
     def test_fibonacci_seeds_fail_at_zero(self):
         report = verify(RecurrenceParams(1, 1), SeedPair(0, 1), 12)
         assert not report.verdict
-        assert report.first_failure_index == 0
+        assert next(c.index for c in report.certificates if isinstance(c.witness, NotComposite)) == 0
 
     def test_period_six_passes(self):
         report = verify(RecurrenceParams(1, -1), SeedPair(8, 35), 50)
@@ -478,12 +478,17 @@ class TestDigitLimit:
         try:
             sys.set_int_max_str_digits(640)
             report = verify(RecurrenceParams(2, -1), SeedPair(prime, prime + 2), 0)
-            assert report.failures == ("|x_0|, a 2326-bit integer, is not composite",)
+            assert report.failures == ("|x_0| = <2326-bit integer> is not composite",)
             assert not report.verdict
             with pytest.raises(OutputTooLarge):
                 report.to_json()
         finally:
             sys.set_int_max_str_digits(saved)
+
+    def test_unprintable_gcd_fails_by_its_bit_length(self):
+        report = verify(RecurrenceParams(1, 1), SeedPair(2 * 10**5000, 4 * 10**5000), 3)
+        assert report.failures == ("gcd(x0, x1) = <16611-bit integer> != 1",)
+        assert not report.coprime_ok
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_no_limit_never_raises(self, sign):
