@@ -317,7 +317,7 @@ def prime_factors(n: int) -> Iterator[tuple[int, int]]:
             continue
         d = _pollard_brent(m, rng)
         if d is None:
-            raise EffortExceeded(f"could not split {m}")
+            raise EffortExceeded(f"could not split {int_text(m)}")
         stack.extend((d, m // d))
     yield from sorted(counts.items())
 
@@ -337,10 +337,10 @@ def crt_solve(system: list[tuple[int, int]]) -> tuple[int, int]:
     x, mod = 0, 1
     for r, m in system:
         if m < 1:
-            raise ValueError(f"modulus {m} < 1")
+            raise ValueError(f"modulus {int_text(m)} < 1")
         g = math.gcd(mod, m)
         if g != 1:
-            raise NonCoprimeModuli(f"moduli {mod} and {m} share factor {g}")
+            raise NonCoprimeModuli(f"moduli {int_text(mod)} and {int_text(m)} share factor {int_text(g)}")
         x += mod * ((r - x) * pow(mod, -1, m) % m)
         mod *= m
     return x, mod
@@ -358,4 +358,5 @@ def coprime_shift(n1: int, n2: int, n3: int) -> int:
         v = n2 + k * n3
         if v > n1 and math.gcd(n1, v) == 1:
             return k
-    raise SearchExhausted(f"no admissible k below {COPRIME_SHIFT_CAP} for ({n1}, {n2}, {n3})")
+    inputs = ", ".join(map(int_text, (n1, n2, n3)))
+    raise SearchExhausted(f"no admissible k below {COPRIME_SHIFT_CAP} for ({inputs})")

@@ -28,11 +28,6 @@ from .arith import (
 from .covering import validate_triples
 from .recurrence import RecurrenceParams, SeedPair, decimal_texts, iter_terms, terms
 
-# Reports whose largest term has at least this many bits take their term
-# texts from `decimal_texts`; below it str() is faster (measured crossover:
-# about 2000 bits, for 60 to 3000 terms).
-DECIMAL_TEXT_BITS = 2048
-
 
 class OutputTooLarge(ValueError):
     """An integer has more decimal digits than Python's int-to-str limit allows."""
@@ -79,9 +74,8 @@ class VerificationReport:
     def _term_texts(self) -> list[tuple[str, int]]:
         """Each certificate's term in decimal with its digit count; see to_json."""
         certs = self.certificates
-        long_terms = any(c.term.bit_length() >= DECIMAL_TEXT_BITS for c in reversed(certs))
         run = zip(certs, iter_terms(self.params, self.seed))
-        if not (long_terms and all(c.index == n and c.term == x for n, (c, x) in enumerate(run))):
+        if not (certs and all(c.index == n and c.term == x for n, (c, x) in enumerate(run))):
             return [decimal_digits(cert.term) for cert in certs]
         limit = _int_max_str_digits()
         texts = []
@@ -122,12 +116,11 @@ class VerificationReport:
         decimal strings.
 
         When the certificates are x_0..x_N of (params, seed), as `verify`
-        makes them, and some term has at least DECIMAL_TEXT_BITS bits, the
-        term texts come from `recurrence.decimal_texts`, the recurrence run
-        in base 10, in time linear in each term's length (str(int) is
-        quadratic); a term with more digits than Python's int-to-str limit
-        still raises the OutputTooLarge that str() would.  Shorter terms,
-        and any other certificates, as in a hand-built or edited report,
+        makes them, the term texts come from `recurrence.decimal_texts`, the
+        recurrence run in base 10, in time linear in each term's length
+        (str(int) is quadratic); a term with more digits than Python's
+        int-to-str limit still raises the OutputTooLarge that str() would.
+        Any other certificates, as in a hand-built, edited or empty report,
         print each term's own text by `decimal_digits`.  A term text is only
         digits and a sign, so each certificate is written by one template,
         without escaping; the other keys go through json.dumps.

@@ -42,6 +42,18 @@ def is_strictly_growing(params: RecurrenceParams, seed: SeedPair, horizon: int) 
     return all(abs(xs[i]) < abs(xs[i + 1]) for i in range(horizon))
 
 
+def reference_terms(params: RecurrenceParams, seed: SeedPair, n: int) -> list[int]:
+    """[x0, ..., xn] by the plain loop x, y = y, a*y + b*x, which shares no
+    code with recurrence.iter_terms and its b = +-1 steps."""
+    a, b = params.a, params.b
+    x, y = seed.x0, seed.x1
+    xs = []
+    for _ in range(n + 1):
+        xs.append(x)
+        x, y = y, a * y + b * x
+    return xs
+
+
 def lemma1_residual(params: RecurrenceParams, seed: SeedPair, n: int) -> int:
     """x_{n+1}^2 - a*x_n*x_{n+1} - b*x_n^2 minus (-b)^n*(x1^2 - a*x0*x1 - b*x0^2).
 

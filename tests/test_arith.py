@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -20,6 +21,7 @@ from compseq.arith import (
     SCREEN_CHUNKS,
     TRIAL_BOUND,
     Divisor,
+    EffortExceeded,
     MillerRabinBase,
     NonCoprimeModuli,
     NotComposite,
@@ -469,6 +471,45 @@ class TestCoprimeShift:
         monkeypatch.setattr(arith, "COPRIME_SHIFT_CAP", 10)
         with pytest.raises(SearchExhausted, match="below 10 "):
             coprime_shift(6, 0, 6)
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's int-to-str digit limit at 640 for one test, restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("Python has no int-to-str digit limit")
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+class TestUnprintableIntegers:
+    # An integer past the digit limit is named by its bit length, so the
+    # error is the library's own and not str()'s ValueError.
+    def test_crt_solve(self, digit_limit):
+        big = 2 * 10**5000
+        with pytest.raises(NonCoprimeModuli) as exc:
+            crt_solve([(0, big), (0, 4)])
+        assert str(exc.value) == f"moduli <{big.bit_length()}-bit integer> and 4 share factor 4"
+        with pytest.raises(ValueError, match=f"^modulus <{big.bit_length()}-bit integer> < 1$"):
+            crt_solve([(0, -big)])
+
+    def test_coprime_shift(self, digit_limit, monkeypatch):
+        big = 2 * 10**5000
+        monkeypatch.setattr(arith, "COPRIME_SHIFT_CAP", 10)
+        with pytest.raises(SearchExhausted) as exc:
+            coprime_shift(big, 0, 2)
+        assert str(exc.value) == f"no admissible k below 10 for (<{big.bit_length()}-bit integer>, 0, 2)"
+
+    def test_prime_factors(self, digit_limit, monkeypatch):
+        n = 1000003**110  # 661 digits, and 1000003 is past the trial primes
+        monkeypatch.setattr(arith, "_pollard_brent", lambda m, rng: None)
+        with pytest.raises(EffortExceeded) as exc:
+            list(prime_factors(n))
+        assert str(exc.value) == f"could not split <{n.bit_length()}-bit integer>"
 
 
 def test_small_primes_sieve():

@@ -35,7 +35,7 @@ GOLDEN = [
     ("construct -a 999999999989 -b 1", 0, "3b48726e10a33376f89eae9cb0acc9b668ce0f070c7f3bae4d41a87411b957b7"),
     ("construct -a 999999999989 -b -1", 0, "87250be5452becfa277773e5976dfaaf7d6a2c30532a5264efd18cf302f4bc1c"),
     ("construct -a 2305843009213693951 -b -1", 0, "8ecdf56862e574748c89a05d2379d6c56ca2b187f9418871172358301c549263"),
-    # Hintless, with terms past 2048 bits: the decimal_texts output path.
+    # Hintless, to 3000 terms: the longest report here.
     (f"verify -a 1 -b 1 --x0 {V0} --x1 {V1} --terms 3000", 0, "50dc50735947ab423bc6d5d47c81de636af14d6634c0d3ac30bfbcb9f17fef51"),
     # Hintless, with two Miller-Rabin witnesses and divisors from 2 to 44453.
     ("verify -a 1174571 -b 1 --x0 25840562 --x1 75172545 --terms 102", 0, "6a8be14364c7da500a06f861d12bdccaa9c65f8b940cb6c94165a31178661b85"),

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from compseq.recurrence import (
@@ -12,19 +12,26 @@ from compseq.recurrence import (
     iter_terms,
     terms,
 )
-from oracles import is_strictly_growing, lemma1_residual
+from oracles import is_strictly_growing, lemma1_residual, reference_terms
+
+seeds = st.sampled_from([0, 1, -1]) | st.integers(-10**30, 10**30)
 
 
 @given(
     st.integers(-10**12, 10**12),
-    st.integers(-9, 9),
-    st.integers(-10**30, 10**30),
-    st.integers(-10**30, 10**30),
+    # b = +-1 half the time: iter_terms has its own step for each.
+    st.sampled_from([-1, 1]) | st.integers(-9, 9).filter(bool),
+    seeds,
+    seeds,
     st.integers(0, 40),
 )
-def test_decimal_texts_equal_str_of_terms(a, b, x0, x1, n):
+@example(0, -1, 0, -3, 6)  # x_2 = 0*(-3) - 0, a zero Decimal signs: it must print "0"
+@example(7, 0, -5, 3, 6)  # b = 0, outside the draw
+def test_terms_and_decimal_texts_match_the_reference_loop(a, b, x0, x1, n):
     params, seed = RecurrenceParams(a, b), SeedPair(x0, x1)
-    assert decimal_texts(params, seed, n) == [str(x) for x in terms(params, seed, n)]
+    want = reference_terms(params, seed, n)
+    assert terms(params, seed, n) == want
+    assert decimal_texts(params, seed, n) == [str(x) for x in want]
 
 
 def test_decimal_texts_reject_negative_n():

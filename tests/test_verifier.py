@@ -272,11 +272,8 @@ class TestReportJson:
             st.text() | st.just('a "quote", a \\ backslash, caf\u00e9 \u2211 \U0001f600'),
             max_size=3,
         ),
-        st.booleans(),
     )
-    def test_to_json_is_json_dumps_of_to_dict(
-        self, a, b, x0, x1, n, constructed, edits, failures, base_10
-    ):
+    def test_to_json_is_json_dumps_of_to_dict(self, a, b, x0, x1, n, constructed, edits, failures):
         params, seed, construction = RecurrenceParams(a, b), SeedPair(x0, x1), None
         if constructed and (abs(a), b) != (2, -1):
             construction = C.construct(a, b)
@@ -291,16 +288,13 @@ class TestReportJson:
         report = dataclasses.replace(
             report, certificates=tuple(certs), failures=report.failures + tuple(failures)
         )
-        with pytest.MonkeyPatch.context() as patch:
-            if base_10:  # the decimal_texts path, for terms of any size
-                patch.setattr(verifier, "DECIMAL_TEXT_BITS", 0)
-            assert_json_matches_dumps(report)
+        assert_json_matches_dumps(report)
 
     @pytest.mark.parametrize("a, b", [(1174571, 1), (-999999999989, -1)])
-    def test_terms_past_decimal_text_bits(self, a, b):
+    def test_terms_past_2048_bits(self, a, b):
         report = verify_construction(C.construct(a, b), 200)
         longest = max(abs(c.term) for c in report.certificates).bit_length()
-        assert longest >= verifier.DECIMAL_TEXT_BITS
+        assert longest >= 2048
         assert_json_matches_dumps(report)
 
     def test_witness_kinds_and_values(self):
@@ -359,15 +353,9 @@ def hand_built(params, seed, xs):
 
 
 def assert_texts_match_str(report):
-    """Every term text and digit count equals the one-str() reference, both
-    where the report's term size picks the path and with the base-10 run
-    forced for terms of any size."""
+    """Every term text and digit count equals the one-str() reference."""
     want = [decimal_digits(cert.term) for cert in report.certificates]
-    for bits in (verifier.DECIMAL_TEXT_BITS, 0):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(verifier, "DECIMAL_TEXT_BITS", bits)
-            got = [(c["term"], c["term_digits"]) for c in report.to_dict()["certificates"]]
-        assert got == want
+    assert [(c["term"], c["term_digits"]) for c in report.to_dict()["certificates"]] == want
 
 
 class TestTermTexts:
@@ -412,7 +400,11 @@ class TestTermTexts:
         assert tampered.to_dict()["certificates"][at]["term"] == str(certs[at].term)
         assert_texts_match_str(tampered)
 
-    def test_base_10_run_only_for_long_terms(self, monkeypatch):
+    @pytest.mark.parametrize("n", [0, 1, 60, 200])
+    @pytest.mark.parametrize("a", [7, 1174571])
+    def test_one_decimal_texts_run_per_report_verify_made(self, monkeypatch, a, n):
+        # A count, not a timing: terms of any size take the base-10 run when
+        # the report is the one verify made, and their own texts otherwise.
         runs = []
 
         def counting(*args):
@@ -420,12 +412,18 @@ class TestTermTexts:
             return decimal_texts(*args)
 
         monkeypatch.setattr(verifier, "decimal_texts", counting)
-        for a, n in [(7, 200), (1174571, 60), (1174571, 200)]:
-            report = verify_construction(C.construct(a, 1), n)
-            report.to_dict()
-            longest = max(abs(c.term) for c in report.certificates).bit_length()
-            assert len(runs) == (longest >= verifier.DECIMAL_TEXT_BITS), (a, n)
-            runs.clear()
+        report = verify_construction(C.construct(a, 1), n)
+        report.to_dict()
+        assert len(runs) == 1
+        longest = max(abs(c.term) for c in report.certificates).bit_length()
+        assert (longest >= 2048) == ((a, n) == (1174571, 200)), longest
+        certs = report.certificates
+        tampered = certs[:-1] + (certs[-1]._replace(term=certs[-1].term + 1),)
+        reordered = certs[1::-1] + certs[2:]
+        for other in (tampered, reordered, ()):
+            if other != certs:  # at n = 0 there is nothing to reorder
+                dataclasses.replace(report, certificates=other).to_dict()
+        assert len(runs) == 1
 
     def test_reordered_certificates_print_their_own_terms(self):
         report = verify_construction(C.construct(5, 1), 20)
