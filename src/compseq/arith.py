@@ -204,17 +204,21 @@ class CompositenessCertificate(NamedTuple):
     witness: Witness
 
 
-def compositeness_witness(n: int) -> Witness:
+def compositeness_witness(n: int, neighbour: int = 0) -> Witness:
     """Produce a checkable witness that |n| is composite, or NotComposite.
 
     A composite |n| gets Divisor(p) for the smallest prime
     p <= min(TRIAL_BOUND, isqrt|n|) dividing it, from _smallest_prime_divisor.
-    Without such p, it gets the first base _mr_witness finds, or NotComposite
-    when there is none.
+    Without such p, it gets Divisor(g) for g = gcd(|n|, neighbour) when
+    1 < g < |n|, else the first base _mr_witness finds, or NotComposite
+    when there is none.  A recurrence term x_n passes x_{n-2} as neighbour:
+    x_n = b*x_{n-2} (mod a), so a prime of a dividing x_{n-2} divides x_n.
+    The default 0 never gives a proper divisor, since gcd(m, 0) = m.
 
     Below MR_DETERMINISTIC_BOUND, is_prime is exact and cheap, so it runs
     first and a prime gets NotComposite before any scan.  At or above it,
-    is_prime never runs: the divisor scan comes first, then _mr_witness.
+    is_prime never runs: the divisor scan comes first, then the common
+    factor with neighbour, then _mr_witness.
     """
     m = abs(n)
     if m in (0, 1) or (m < MR_DETERMINISTIC_BOUND and is_prime(m)):
@@ -223,6 +227,9 @@ def compositeness_witness(n: int) -> Witness:
     p = _smallest_prime_divisor(m, small_primes(TRIAL_BOUND), limit)
     if p is not None:
         return Divisor(p)
+    g = math.gcd(m, neighbour)
+    if 1 < g < m:
+        return Divisor(g)
     base = _mr_witness(m)
     return NotComposite() if base is None else MillerRabinBase(base)
 

@@ -4,7 +4,8 @@ Given (a, b, x0, x1, N), certifies coprimality and per-term compositeness,
 and runs the divisor-rule audit for every strategy: each index must be
 claimed by one of the construction's rules, and every claimed divisor must
 properly divide its term.  Certificates prefer that divisor, then bounded
-trial division, then a Miller-Rabin witness base.
+trial division, then the term's common factor with x_{n-2}, then a
+Miller-Rabin witness base.
 """
 
 from __future__ import annotations
@@ -164,7 +165,10 @@ def verify(
 ) -> VerificationReport:
     """Full audit: positivity, coprimality, per-term compositeness certificates,
     and the divisor-rule audit for every strategy whose construction states
-    rules.  A rule's divisor is the preferred certificate for each term."""
+    rules.  A rule's divisor is the preferred certificate for each term.
+    Every other term x_n gets compositeness_witness(x_n, x_{n-2}), with 0 in
+    place of x_{n-2} for n < 2: a prime <= 10^6, then gcd(x_n, x_{n-2}) when
+    it properly divides x_n, then a Miller-Rabin base."""
     failures: list[str] = []
     coprime_ok = math.gcd(seed.x0, seed.x1) == 1
     if not coprime_ok:
@@ -200,7 +204,7 @@ def verify(
         covering_law_ok = len(failures) == before
     for n, witness in enumerate(witnesses):
         if witness is None:
-            witness = witnesses[n] = compositeness_witness(xs[n])
+            witness = witnesses[n] = compositeness_witness(xs[n], xs[n - 2] if n >= 2 else 0)
             if isinstance(witness, NotComposite):
                 failures.append(f"|x_{n}| = {int_text(abs(xs[n]))} is not composite")
     certificates = tuple(map(CompositenessCertificate, range(size), xs, witnesses))

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compseq import arith
@@ -235,6 +235,42 @@ def test_screen_is_whole_chunks():
     # is_prime's screen to SCREEN_BOUND takes whole chunks of the gcd table,
     # so it needs no partial product.
     assert SCREEN_CHUNKS * CHUNK_PRIMES == len(small_primes(SCREEN_BOUND)) == 564
+
+
+# Primes past trial division (10**6), below and above MR_DETERMINISTIC_BOUND
+# as products of two.
+PAST_TRIAL_PRIMES = (1000003, 1000033, sympy.nextprime(10**12), *LARGE_PRIMES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    small=st.sampled_from((1, 2, 97, 1009, 999983)),
+    p=st.sampled_from(PAST_TRIAL_PRIMES),
+    q=st.sampled_from(PAST_TRIAL_PRIMES),
+    sign=st.sampled_from((1, -1)),
+    share=st.sampled_from(("p", "q", "small", "n", "none", "zero")),
+    r=st.integers(-(10**12), 10**12),
+)
+# Trial division comes first, the whole term is no proper divisor, and a
+# shared prime certifies a term below and above MR_DETERMINISTIC_BOUND.
+@example(small=2, p=1000003, q=LARGE_PRIMES[0], sign=1, share="p", r=1)
+@example(small=1, p=1000003, q=LARGE_PRIMES[0], sign=-1, share="n", r=3)
+@example(small=1, p=1000003, q=1000033, sign=1, share="q", r=7)
+@example(small=1, p=1000003, q=LARGE_PRIMES[0], sign=1, share="q", r=-1)
+def test_neighbour_replaces_only_a_miller_rabin_base_by_the_common_factor(small, p, q, sign, share, r):
+    # n = small * p * q and a neighbour k that shares p, q, small, all of n,
+    # or nothing with it (r may add more).  Without k the witness is the
+    # plain loop's; with k it differs only where that is a Miller-Rabin base,
+    # and then it is Divisor(gcd(n, k)) when that is a proper divisor.
+    n = sign * small * p * q
+    k = {"p": p, "q": q, "small": small, "n": n, "none": 1, "zero": 0}[share] * r
+    plain = compositeness_witness(n)
+    assert plain == plain_loop_witness(n, TRIAL_BOUND)
+    g = math.gcd(n, k)
+    if isinstance(plain, MillerRabinBase) and 1 < g < abs(n):
+        assert compositeness_witness(n, k) == Divisor(g)
+    else:
+        assert compositeness_witness(n, k) == plain
 
 
 def assert_witness_agrees_with_is_prime(n):

@@ -31,6 +31,10 @@ from compseq.verifier import (
 )
 
 
+# 1000003 and nextprime(MR_DETERMINISTIC_BOUND): two primes past trial division.
+BIG_P, BIG_Q = 1000003, 3317044064679887385962123
+
+
 class TestVerify:
     def test_miller_rabin_runs_only_on_terms_past_the_small_prime_screen(self, monkeypatch):
         # A count, not a timing: one strong test per term that no d in
@@ -49,11 +53,23 @@ class TestVerify:
         assert report.verdict
         assert len(calls) == len(unscreened)
 
-    def test_miller_rabin_above_the_bound_runs_only_past_trial_division(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "params, seed, n_terms, tested",
+        [
+            (RecurrenceParams(1174571, 1), C.construct(1174571, 1).seed, 102, 0),
+            # x_n = x_{n-2} = P * Q for even n, so their common factor is the
+            # whole term and n = 0, 2, 4 each take a base-2 test.
+            (RecurrenceParams(0, 1), SeedPair(BIG_P * BIG_Q, 15), 4, 3),
+        ],
+        ids=["1174571", "a=0"],
+    )
+    def test_miller_rabin_above_the_bound_runs_only_past_trial_division(
+        self, monkeypatch, params, seed, n_terms, tested
+    ):
         # A count, not a timing: above MR_DETERMINISTIC_BOUND one strong test
-        # (base 2) per term that no prime <= 10**6 divides, and none on terms
-        # that trial division certifies.
-        params, seed = RecurrenceParams(1174571, 1), C.construct(1174571, 1).seed
+        # (base 2) per term that no prime <= 10**6 divides and whose gcd with
+        # x_{n-2} (0 for n < 2) is 1 or the whole term, and none on terms
+        # that trial division or that gcd certifies.
         calls = []
 
         def counting(n, base):
@@ -61,11 +77,45 @@ class TestVerify:
             return _strong_probable_prime(n, base)
 
         monkeypatch.setattr(arith, "_strong_probable_prime", counting)
-        report = verify(params, seed, 102)
+        report = verify(params, seed, n_terms)
         small = math.prod(small_primes(10**6))
-        big = [abs(x) for x in terms(params, seed, 102) if abs(x) >= MR_DETERMINISTIC_BOUND]
+        xs = [abs(x) for x in terms(params, seed, n_terms)]
+        expected = sum(
+            x >= MR_DETERMINISTIC_BOUND and math.gcd(x, small) == 1 and math.gcd(x, xs[n - 2] if n >= 2 else 0) in (1, x)
+            for n, x in enumerate(xs)
+        )
         assert report.verdict
-        assert sum(n >= MR_DETERMINISTIC_BOUND for n in calls) == sum(math.gcd(x, small) == 1 for x in big)
+        assert sum(n >= MR_DETERMINISTIC_BOUND for n in calls) == expected == tested
+
+    @pytest.mark.parametrize("a", [1174571, 45193283])
+    def test_terms_past_trial_division_take_their_common_factor_with_x_n_minus_2(self, a):
+        # x_n = b*x_{n-2} (mod a), so with a | x_0 every even term shares the
+        # prime |a| > 10**6 with the one two before it.  Each term gets its
+        # hintless witness, except that a Miller-Rabin base becomes |a|.
+        params, seed = RecurrenceParams(a, 1), C.construct(a, 1).seed
+        n_terms = next(n for n, x in enumerate(terms(params, seed, 200)) if abs(x).bit_length() >= 2048)
+        report = verify(params, seed, n_terms)
+        assert report.verdict
+        xs = terms(params, seed, n_terms)
+        changed = 0
+        for n, cert in enumerate(report.certificates):
+            expected = arith.compositeness_witness(xs[n])
+            if isinstance(expected, MillerRabinBase):
+                expected = Divisor(abs(a))
+                changed += 1
+            assert cert.witness == expected, n
+        assert changed > 0
+
+    def test_the_first_two_terms_have_no_x_n_minus_2(self):
+        # x_0 = P * Q has no prime <= 10**6, and x_4 = x_0 (mod P) shares P
+        # with it; x_0 still gets its base-2 witness, because no x_{-2}
+        # exists (the list's x_4 sits at index -2).
+        params, seed = RecurrenceParams(BIG_P, 1), SeedPair(BIG_P * BIG_Q, 15)
+        xs = terms(params, seed, 5)
+        assert 1 < math.gcd(xs[0], xs[-2]) < xs[0]
+        report = verify(params, seed, 5)
+        assert report.verdict
+        assert report.certificates[0].witness == MillerRabinBase(2) == arith.compositeness_witness(xs[0])
 
     def test_worked_example_with_covering_pattern(self):
         r = C.construct(-9, -1)
