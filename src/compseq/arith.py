@@ -91,9 +91,9 @@ def _block_product(primes: list[int], lo: int, hi: int) -> int:
     return product
 
 
-def _smallest_prime_divisor(m: int, primes: list[int], limit: int) -> int | None:
-    """The smallest p in `primes`, a list from small_primes, with p <= limit
-    that divides m, or None.
+def _smallest_prime_divisor(m: int, primes: list[int], limit: int, lo: int = 0) -> int | None:
+    """The smallest p in `primes[lo:]`, a list from small_primes, with
+    p <= limit that divides m, or None; lo is 0 or the end of a block.
 
     One gcd per block: the first FIRST_BLOCK_PRIMES primes, the rest of the
     first chunk, each other chunk of the screen, then groups of GROUP_CHUNKS
@@ -104,7 +104,6 @@ def _smallest_prime_divisor(m: int, primes: list[int], limit: int) -> int | None
     scanned.
     """
     screen = SCREEN_CHUNKS * CHUNK_PRIMES
-    lo = 0
     while lo < len(primes) and primes[lo] <= limit:
         step = CHUNK_PRIMES if lo < screen else GROUP_CHUNKS * CHUNK_PRIMES
         hi = min(lo - lo % CHUNK_PRIMES + step if lo else FIRST_BLOCK_PRIMES, len(primes))
@@ -207,29 +206,36 @@ class CompositenessCertificate(NamedTuple):
 def compositeness_witness(n: int, neighbour: int = 0) -> Witness:
     """Produce a checkable witness that |n| is composite, or NotComposite.
 
-    A composite |n| gets Divisor(p) for the smallest prime
-    p <= min(TRIAL_BOUND, isqrt|n|) dividing it, from _smallest_prime_divisor.
-    Without such p, it gets Divisor(g) for g = gcd(|n|, neighbour) when
-    1 < g < |n|, else the first base _mr_witness finds, or NotComposite
-    when there is none.  A recurrence term x_n passes x_{n-2} as neighbour:
-    x_n = b*x_{n-2} (mod a), so a prime of a dividing x_{n-2} divides x_n.
-    The default 0 never gives a proper divisor, since gcd(m, 0) = m.
+    A composite |n| gets, in this order: Divisor(p) for the smallest prime
+    p <= min(SCREEN_BOUND, isqrt|n|) dividing it; Divisor(g) for
+    g = gcd(|n|, neighbour) when 1 < g < |n|; Divisor(p) for the smallest
+    prime p <= min(TRIAL_BOUND, isqrt|n|) past the screen dividing it; else
+    the first base _mr_witness finds, or NotComposite when there is none.
+    A recurrence term x_n passes x_{n-2} as neighbour: x_n = b*x_{n-2}
+    (mod a), so a prime of a dividing x_{n-2} divides x_n, and the gcd saves
+    the walk to TRIAL_BOUND, whose primes are only sieved when a term needs
+    them.  The default 0 never gives a proper divisor, since gcd(m, 0) = m,
+    so a one-argument call gets the smallest prime <= TRIAL_BOUND.
 
     Below MR_DETERMINISTIC_BOUND, is_prime is exact and cheap, so it runs
     first and a prime gets NotComposite before any scan.  At or above it,
-    is_prime never runs: the divisor scan comes first, then the common
-    factor with neighbour, then _mr_witness.
+    is_prime never runs: the screen comes first, then the common factor
+    with neighbour, the rest of the walk, then _mr_witness.
     """
     m = abs(n)
     if m in (0, 1) or (m < MR_DETERMINISTIC_BOUND and is_prime(m)):
         return NotComposite()
     limit = TRIAL_BOUND if m >= TRIAL_BOUND * TRIAL_BOUND else math.isqrt(m)
-    p = _smallest_prime_divisor(m, small_primes(TRIAL_BOUND), limit)
+    screen = small_primes(SCREEN_BOUND)
+    p = _smallest_prime_divisor(m, screen, min(limit, SCREEN_BOUND))
+    if p is None:
+        g = math.gcd(m, neighbour)
+        if 1 < g < m:
+            return Divisor(g)
+        if limit > SCREEN_BOUND:
+            p = _smallest_prime_divisor(m, small_primes(TRIAL_BOUND), limit, len(screen))
     if p is not None:
         return Divisor(p)
-    g = math.gcd(m, neighbour)
-    if 1 < g < m:
-        return Divisor(g)
     base = _mr_witness(m)
     return NotComposite() if base is None else MillerRabinBase(base)
 

@@ -19,6 +19,8 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
+from typing import Iterable
 
 from . import constructor as C
 from . import covering, lucas, verifier
@@ -57,16 +59,21 @@ def _nonzero(text: str) -> int:
 
 
 def _emit(payload: dict, args) -> None:
-    _write(json.dumps(payload, indent=2) if args.json else _render(payload), args)
+    _write([json.dumps(payload, indent=2) if args.json else _render(payload)], args)
 
 
-def _write(text: str, args) -> None:
+def _write(pieces: Iterable[str], args) -> None:
+    """Write the pieces and a closing newline to the -o file or to stdout,
+    one piece at a time, so no text the size of the output is built."""
     if args.output:
         with open(args.output, "w") as fh:
-            print(text, file=fh)
+            fh.writelines(pieces)
+            fh.write("\n")
         return
     try:
-        print(text, flush=True)
+        sys.stdout.writelines(pieces)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
     except OSError:
         # What stdout still buffers would fail again in the flush at exit.
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -117,9 +124,9 @@ def cmd_construct(args) -> int:
     if args.json:
         # The report is the payload's last key: its text replaces the closing "\n}".
         head = json.dumps(payload, indent=2)[:-2]
-        _write(f'{head},\n  "report": {report.to_json("  ")}\n}}', args)
+        _write(chain([f'{head},\n  "report": '], report.json_pieces("  "), ["\n}"]), args)
     else:
-        _write(_render(payload | {"report": _report_fields(report)}), args)
+        _write([_render(payload | {"report": _report_fields(report)})], args)
     return EXIT_PASS if report.verdict else EXIT_FAIL
 
 
@@ -127,7 +134,7 @@ def cmd_verify(args) -> int:
     params = RecurrenceParams(args.a, args.b)
     seed = SeedPair(args.x0, args.x1)
     report = verifier.verify(params, seed, args.terms)
-    _write(report.to_json() if args.json else _render(_report_fields(report)), args)
+    _write(report.json_pieces() if args.json else [_render(_report_fields(report))], args)
     return EXIT_PASS if report.verdict else EXIT_FAIL
 
 

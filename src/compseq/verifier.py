@@ -3,9 +3,9 @@
 Given (a, b, x0, x1, N), certifies coprimality and per-term compositeness,
 and runs the divisor-rule audit for every strategy: each index must be
 claimed by one of the construction's rules, and every claimed divisor must
-properly divide its term.  Certificates prefer that divisor, then bounded
-trial division, then the term's common factor with x_{n-2}, then a
-Miller-Rabin witness base.
+properly divide its term.  Certificates prefer that divisor, then a prime
+<= 4096, then the term's common factor with x_{n-2}, then a prime <= 10^6,
+then a Miller-Rabin witness base.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import constructor as C
 from .arith import (
@@ -111,39 +112,51 @@ class VerificationReport:
             tail["covering_law_ok"] = self.covering_law_ok
         return head, tail
 
-    def to_json(self, pad: str = "") -> str:
-        """The report as `json.dumps(self.to_dict(), indent=2)` writes it, with
-        every line after the first prefixed by pad; terms and seeds are
-        decimal strings.
+    def json_pieces(self, pad: str = "") -> Iterator[str]:
+        """The report's JSON text in pieces: the keys before "certificates",
+        one piece per certificate, then the rest.  Joined, they are
+        `json.dumps(self.to_dict(), indent=2)` with every line after the first
+        prefixed by pad; terms and seeds are decimal strings.
 
-        When the certificates are x_0..x_N of (params, seed), as `verify`
-        makes them, the term texts come from `recurrence.decimal_texts`, the
-        recurrence run in base 10, in time linear in each term's length
-        (str(int) is quadratic); a term with more digits than Python's
-        int-to-str limit still raises the OutputTooLarge that str() would.
-        Any other certificates, as in a hand-built, edited or empty report,
-        print each term's own text by `decimal_digits`.  A term text is only
-        digits and a sign, so each certificate is written by one template,
-        without escaping; the other keys go through json.dumps.
+        Every term text is made before this returns, so an OutputTooLarge
+        comes before the first piece.  When the certificates are x_0..x_N of
+        (params, seed), as `verify` makes them, the term texts come from
+        `recurrence.decimal_texts`, the recurrence run in base 10, in time
+        linear in each term's length (str(int) is quadratic); a term with
+        more digits than Python's int-to-str limit still raises the
+        OutputTooLarge that str() would.  Any other certificates, as in a
+        hand-built, edited or empty report, print each term's own text by
+        `decimal_digits`.  A term text is only digits and a sign, so each
+        certificate is written by one template with pad in it, without
+        escaping; the other keys go through json.dumps.
         """
-        certificates = ",\n".join(
-            "    {\n"
-            f'      "n": {cert.index},\n'
-            f'      "term": "{term}",\n'
-            f'      "term_digits": {digits},\n'
-            f'      "witness_kind": "{cert.witness.kind}",\n'
-            f'      "witness_value": {_witness_value(cert.witness)}\n'
-            "    }"
-            for cert, (term, digits) in zip(self.certificates, self._term_texts())
-        )
-        certificates = f"[\n{certificates}\n  ]" if certificates else "[]"
+        texts = self._term_texts()
         head, tail = self.json_fields()
-        text = (
-            f"{json.dumps(head, indent=2)[:-2]},\n"  # without its closing "\n}"
-            f'  "certificates": {certificates},\n'
-            f"{json.dumps(tail, indent=2)[2:]}"  # without its opening "{\n"
-        )
-        return text.replace("\n", "\n" + pad) if pad else text
+        nl = "\n" + pad
+        head_text = json.dumps(head, indent=2)[:-2].replace("\n", nl)  # without its closing "\n}"
+        tail_text = json.dumps(tail, indent=2)[2:].replace("\n", nl)  # without its opening "{\n"
+
+        def pieces() -> Iterator[str]:
+            yield f'{head_text},{nl}  "certificates": ['
+            sep = ""
+            for cert, (term, digits) in zip(self.certificates, texts):
+                yield (
+                    f"{sep}{nl}    {{{nl}"
+                    f'      "n": {cert.index},{nl}'
+                    f'      "term": "{term}",{nl}'
+                    f'      "term_digits": {digits},{nl}'
+                    f'      "witness_kind": "{cert.witness.kind}",{nl}'
+                    f'      "witness_value": {_witness_value(cert.witness)}{nl}'
+                    "    }"
+                )
+                sep = ","
+            yield f"{nl}  ],{nl}{tail_text}" if texts else f"],{nl}{tail_text}"
+
+        return pieces()
+
+    def to_json(self, pad: str = "") -> str:
+        """The report's JSON text, `json_pieces(pad)` joined."""
+        return "".join(self.json_pieces(pad))
 
     def to_dict(self) -> dict:
         """The report as JSON data: `to_json`, parsed."""
@@ -167,8 +180,8 @@ def verify(
     and the divisor-rule audit for every strategy whose construction states
     rules.  A rule's divisor is the preferred certificate for each term.
     Every other term x_n gets compositeness_witness(x_n, x_{n-2}), with 0 in
-    place of x_{n-2} for n < 2: a prime <= 10^6, then gcd(x_n, x_{n-2}) when
-    it properly divides x_n, then a Miller-Rabin base."""
+    place of x_{n-2} for n < 2: a prime <= 4096, then gcd(x_n, x_{n-2}) when
+    it properly divides x_n, then a prime <= 10^6, then a Miller-Rabin base."""
     failures: list[str] = []
     coprime_ok = math.gcd(seed.x0, seed.x1) == 1
     if not coprime_ok:

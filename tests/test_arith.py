@@ -157,16 +157,24 @@ class TestWitness:
             assert compositeness_witness(n) == expected == plain_loop_witness(n, trial_bound)
 
 
-def plain_loop_witness(n, trial_bound):
+def plain_loop_witness(n, trial_bound, neighbour=0):
     """compositeness_witness as a plain loop: sympy primality, a `%` by every
-    prime up to min(trial_bound, isqrt|n|), then Miller-Rabin bases."""
+    prime up to min(SCREEN_BOUND, trial_bound, isqrt|n|), the common factor
+    with neighbour when it is a proper divisor, a `%` by every further prime
+    up to min(trial_bound, isqrt|n|), then Miller-Rabin bases."""
     m = abs(n)
     if m in (0, 1) or sympy.isprime(m):
         return NotComposite()
     limit = min(trial_bound, math.isqrt(m))
-    for p in small_primes(trial_bound):
-        if p > limit:
-            break
+    primes = [p for p in small_primes(trial_bound) if p <= limit]
+    screen = [p for p in primes if p <= SCREEN_BOUND]
+    for p in screen:
+        if m % p == 0:
+            return Divisor(p)
+    g = math.gcd(m, neighbour)
+    if 1 < g < m:
+        return Divisor(g)
+    for p in primes[len(screen) :]:
         if m % p == 0:
             return Divisor(p)
     for a in MR_DETERMINISTIC_BASES:
@@ -240,37 +248,46 @@ def test_screen_is_whole_chunks():
 # Primes past trial division (10**6), below and above MR_DETERMINISTIC_BOUND
 # as products of two.
 PAST_TRIAL_PRIMES = (1000003, 1000033, sympy.nextprime(10**12), *LARGE_PRIMES)
+# The last prime of the screen and the first one past it.
+SCREEN_EDGE = (sympy.prevprime(SCREEN_BOUND), sympy.nextprime(SCREEN_BOUND))
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    small=st.sampled_from((1, 2, 97, 1009, 999983)),
+    small=st.sampled_from((1, 2, 97, 1009, *SCREEN_EDGE, 999983)),
     p=st.sampled_from(PAST_TRIAL_PRIMES),
     q=st.sampled_from(PAST_TRIAL_PRIMES),
     sign=st.sampled_from((1, -1)),
     share=st.sampled_from(("p", "q", "small", "n", "none", "zero")),
     r=st.integers(-(10**12), 10**12),
 )
-# Trial division comes first, the whole term is no proper divisor, and a
-# shared prime certifies a term below and above MR_DETERMINISTIC_BOUND.
+# The screen comes before the common factor and a prime past it after, the
+# whole term is no proper divisor, and a shared prime certifies a term below
+# and above MR_DETERMINISTIC_BOUND.
 @example(small=2, p=1000003, q=LARGE_PRIMES[0], sign=1, share="p", r=1)
+@example(small=SCREEN_EDGE[0], p=1000003, q=LARGE_PRIMES[0], sign=1, share="p", r=1)
+@example(small=SCREEN_EDGE[1], p=1000003, q=LARGE_PRIMES[0], sign=-1, share="p", r=1)
 @example(small=1, p=1000003, q=LARGE_PRIMES[0], sign=-1, share="n", r=3)
 @example(small=1, p=1000003, q=1000033, sign=1, share="q", r=7)
 @example(small=1, p=1000003, q=LARGE_PRIMES[0], sign=1, share="q", r=-1)
-def test_neighbour_replaces_only_a_miller_rabin_base_by_the_common_factor(small, p, q, sign, share, r):
+def test_neighbour_replaces_only_a_prime_past_the_screen_or_a_base_by_the_common_factor(small, p, q, sign, share, r):
     # n = small * p * q and a neighbour k that shares p, q, small, all of n,
     # or nothing with it (r may add more).  Without k the witness is the
-    # plain loop's; with k it differs only where that is a Miller-Rabin base,
-    # and then it is Divisor(gcd(n, k)) when that is a proper divisor.
+    # plain loop's; with k it is the plain loop's too, and differs only where
+    # the one without k is a prime > SCREEN_BOUND or a Miller-Rabin base, and
+    # then it is Divisor(gcd(n, k)) when that is a proper divisor.
     n = sign * small * p * q
     k = {"p": p, "q": q, "small": small, "n": n, "none": 1, "zero": 0}[share] * r
     plain = compositeness_witness(n)
     assert plain == plain_loop_witness(n, TRIAL_BOUND)
+    shared = compositeness_witness(n, k)
+    assert shared == plain_loop_witness(n, TRIAL_BOUND, k)
     g = math.gcd(n, k)
-    if isinstance(plain, MillerRabinBase) and 1 < g < abs(n):
-        assert compositeness_witness(n, k) == Divisor(g)
+    past_screen = isinstance(plain, MillerRabinBase) or (isinstance(plain, Divisor) and plain.d > SCREEN_BOUND)
+    if past_screen and 1 < g < abs(n):
+        assert shared == Divisor(g)
     else:
-        assert compositeness_witness(n, k) == plain
+        assert shared == plain
 
 
 def assert_witness_agrees_with_is_prime(n):

@@ -144,6 +144,47 @@ class TestOther:
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("existing", [None, "kept\n"])
+    @pytest.mark.parametrize("command", ["construct", "verify"])
+    def test_output_past_the_digit_limit_leaves_the_output_file_alone(self, capsys, tmp_path, command, existing):
+        # Every term text is made before the -o file is opened, so exit 4
+        # neither creates the file nor truncates one that is there.
+        seed = C.construct(9, 1).seed
+        argv = {
+            "construct": ["construct", "-a", "9", "-b", "1"],
+            "verify": ["verify", "-a", "9", "-b", "1", "--x0", str(seed.x0), "--x1", str(seed.x1)],
+        }[command]
+        path = tmp_path / "report.json"
+        if existing is not None:
+            path.write_text(existing)
+        assert main([*argv, "--terms", "5000", "--json", "-o", str(path)]) == EXIT_TOO_LARGE
+        assert (path.read_text() if path.exists() else None) == existing
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+
+    def test_json_report_is_written_one_certificate_at_a_time(self, capsys, monkeypatch):
+        # A count, not a timing: each write to stdout holds at most one
+        # certificate, so none is longer than the longest term text plus the
+        # rest of a certificate; together they are the whole output.
+        argv = ["construct", "-a", "999999999989", "-b", "1", "--json"]
+        assert main(argv) == EXIT_PASS
+        whole = capsys.readouterr().out
+        certificates = json.loads(whole)["report"]["certificates"]
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        writes = []
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(argv) == EXIT_PASS
+        assert "".join(writes) == whole
+        assert len(writes) > len(certificates)
+        longest = max(len(c["term"]) for c in certificates)
+        assert longest > 2000
+        assert max(map(len, writes)) <= longest + 200
+
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="Python has no int-to-str digit limit")
     def test_text_mode_converts_no_term_past_the_digit_limit(self, capsys):
         # x_3200 of the Vsemirnov pair has about 680 digits.  Text mode prints

@@ -37,9 +37,9 @@ GOLDEN = [
     ("construct -a 2305843009213693951 -b -1", 0, "8ecdf56862e574748c89a05d2379d6c56ca2b187f9418871172358301c549263"),
     # Hintless, to 3000 terms: the longest report here.
     (f"verify -a 1 -b 1 --x0 {V0} --x1 {V1} --terms 3000", 0, "50dc50735947ab423bc6d5d47c81de636af14d6634c0d3ac30bfbcb9f17fef51"),
-    # Hintless, with divisors from 2 to 44453 by trial division; at n = 70 and
-    # 88, which no prime <= 10^6 divides, |a| = gcd(x_n, x_{n-2}).
-    ("verify -a 1174571 -b 1 --x0 25840562 --x1 75172545 --terms 102", 0, "13f9065de41ef2d1a97c92817e5ed55c778e4013d153090aff543953099e6eda"),
+    # Hintless, with divisors from 2 to 3343 by the screen; at n = 40, 70, 88
+    # and 100, which no prime <= 4096 divides, |a| = gcd(x_n, x_{n-2}).
+    ("verify -a 1174571 -b 1 --x0 25840562 --x1 75172545 --terms 102", 0, "94a98a5034aea166c37d4131acf495dfdc3521235722899133b7b9962d57154f"),
     # Hintless, with Miller-Rabin witnesses at n = 0, 2, 4, 6: x0 = 1000003 *
     # 1000033 and x_n = x_{n-2}, so their common factor is the whole term.
     ("verify -a 0 -b 1 --x0 1000036000099 --x1 15 --terms 6", 0, "8693840dff8f6b61d1a11ee1f862f602c3fd62a92a78f836a166270c7261ddde"),

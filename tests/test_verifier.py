@@ -88,19 +88,27 @@ class TestVerify:
         assert sum(n >= MR_DETERMINISTIC_BOUND for n in calls) == expected == tested
 
     @pytest.mark.parametrize("a", [1174571, 45193283])
-    def test_terms_past_trial_division_take_their_common_factor_with_x_n_minus_2(self, a):
+    def test_terms_past_trial_division_take_their_common_factor_with_x_n_minus_2(self, monkeypatch, a):
         # x_n = b*x_{n-2} (mod a), so with a | x_0 every even term shares the
-        # prime |a| > 10**6 with the one two before it.  Each term gets its
-        # hintless witness, except that a Miller-Rabin base becomes |a|.
+        # prime |a| > 10**6 with the one two before it.  A term that no prime
+        # <= SCREEN_BOUND divides gets Divisor(|a|); every other term gets its
+        # hintless witness, a prime <= SCREEN_BOUND.  A count, not a timing:
+        # verify never asks for the primes up to TRIAL_BOUND.
         params, seed = RecurrenceParams(a, 1), C.construct(a, 1).seed
         n_terms = next(n for n, x in enumerate(terms(params, seed, 200)) if abs(x).bit_length() >= 2048)
-        report = verify(params, seed, n_terms)
+        sieved = []
+        with monkeypatch.context() as mp:
+            mp.setattr(arith, "small_primes", lambda limit: sieved.append(limit) or small_primes(limit))
+            report = verify(params, seed, n_terms)
+        assert sieved and set(sieved) == {SCREEN_BOUND}
         assert report.verdict
         xs = terms(params, seed, n_terms)
+        screen = small_primes(SCREEN_BOUND)
         changed = 0
         for n, cert in enumerate(report.certificates):
             expected = arith.compositeness_witness(xs[n])
-            if isinstance(expected, MillerRabinBase):
+            if all(xs[n] % p for p in screen):
+                assert not isinstance(expected, Divisor) or expected.d > SCREEN_BOUND
                 expected = Divisor(abs(a))
                 changed += 1
             assert cert.witness == expected, n
@@ -291,9 +299,12 @@ def reference_dict(report):
 
 def assert_json_matches_dumps(report):
     """to_json writes what json.dumps(indent=2) writes, of to_dict and of
-    the field-by-field reference, padded or not."""
+    the field-by-field reference, padded or not; joined, json_pieces is
+    to_json, with one piece per certificate between a head and a tail."""
     for pad in ("", "  "):
         text = report.to_json(pad)
+        pieces = list(report.json_pieces(pad))
+        assert "".join(pieces) == text and len(pieces) == len(report.certificates) + 2
         assert text == json.dumps(report.to_dict(), indent=2).replace("\n", "\n" + pad)
         assert text == json.dumps(reference_dict(report), indent=2).replace("\n", "\n" + pad)
 
