@@ -4,6 +4,10 @@ Primality testing, compositeness witnesses, factorization, a Chinese
 remainder solver, and integer texts for failure messages.  Everything here
 is a pure function of its inputs: the random Miller-Rabin bases and
 Pollard-Brent starts come from generators with fixed seeds.
+
+Trial division is one walk over a table of blocks of small primes, one gcd
+per block for a whole list of terms (`screen` walks it to SCREEN_BOUND); its
+first blocks are word-size products, which reduce a term in one pass.
 """
 
 from __future__ import annotations
@@ -11,9 +15,10 @@ from __future__ import annotations
 import functools
 import math
 import random
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -47,16 +52,20 @@ COPRIME_SHIFT_CAP = 10**6
 # is_prime answers n <= SCREEN_BOUND from the sieve and, above it, rejects
 # every n with a prime factor <= SCREEN_BOUND by gcd before Miller-Rabin.
 SCREEN_BOUND = 4096
-# Primes per chunk of the gcd table.  The 564 primes below SCREEN_BOUND are
-# exactly the first four chunks, so the screen needs no partial product.  The
-# walk splits the first chunk into two blocks: the FIRST_BLOCK_PRIMES primes
-# below 100, then the other 116.  Almost every term of a covering sequence has
-# a factor below 100, and then costs one small gcd.
+# The gcd table.  Its first blocks hold the primes below WORD_BLOCK_BOUND, as
+# many to a block as keep the product one CPython digit, below DIGIT_BASE
+# (2**30 on 64-bit builds: 2..23, 29..43, 47..67, 71..83, 89..97).  CPython
+# reduces a term by a one-digit number in one pass, so such a gcd costs a
+# fraction of one with a longer product, and almost every term of a covering
+# sequence has a factor below 100.  The rest of the first chunk of
+# CHUNK_PRIMES primes follows, then each other chunk of the screen: its 564
+# primes are exactly four chunks, so it needs no partial product.
+DIGIT_BASE = 1 << sys.int_info.bits_per_digit
+WORD_BLOCK_BOUND = 100
 CHUNK_PRIMES = 141
 SCREEN_CHUNKS = 4
-FIRST_BLOCK_PRIMES = 25
-# Chunks per group past the screen: _smallest_prime_divisor takes one gcd per
-# group there and splits only a group that shares a factor into its chunks.
+# Chunks per group past the screen: the walk takes one gcd per group there and
+# splits only a group that shares a factor into its chunks.
 GROUP_CHUNKS = 16
 
 
@@ -91,34 +100,82 @@ def _block_product(primes: list[int], lo: int, hi: int) -> int:
     return product
 
 
-def _smallest_prime_divisor(m: int, primes: list[int], limit: int, lo: int = 0) -> int | None:
-    """The smallest p in `primes[lo:]`, a list from small_primes, with
-    p <= limit that divides m, or None; lo is 0 or the end of a block.
+# (lo, number of primes in the list) -> (hi, product) of the block at lo.
+_blocks: dict[tuple[int, int], tuple[int, int]] = {}
 
-    One gcd per block: the first FIRST_BLOCK_PRIMES primes, the rest of the
-    first chunk, each other chunk of the screen, then groups of GROUP_CHUNKS
-    chunks, the last cut short where the list ends.  A block of one chunk or
-    less that shares a factor with m is scanned prime by prime at once, with
-    no second gcd.  A group that shares one takes a gcd per chunk until one
-    shares it too (the last chunk needs none), and only that chunk is
-    scanned.
+
+def _block(primes: list[int], lo: int) -> tuple[int, int]:
+    """(hi, product of primes[lo:hi]) for the block of the gcd table that
+    starts at prime index lo, 0 or the end of a block, cut short where the
+    list ends; cached.  The one statement of the table's layout."""
+    block = _blocks.get((lo, len(primes)))
+    if block is None:
+        if primes[lo] < WORD_BLOCK_BOUND:
+            hi = lo + 1
+            while primes[hi] < WORD_BLOCK_BOUND and math.prod(primes[lo : hi + 1]) < DIGIT_BASE:
+                hi += 1
+        else:
+            step = CHUNK_PRIMES if lo < SCREEN_CHUNKS * CHUNK_PRIMES else GROUP_CHUNKS * CHUNK_PRIMES
+            hi = lo - lo % CHUNK_PRIMES + step
+        hi = min(hi, len(primes))
+        block = _blocks[lo, len(primes)] = hi, _block_product(primes, lo, hi)
+    return block
+
+
+def _smallest_prime_in_block(g: int, primes: list[int], lo: int, hi: int) -> int:
+    """The smallest p in primes[lo:hi], a block, that divides g > 1, a
+    divisor of the block's product.  A block of one chunk or less is scanned
+    prime by prime.  A group takes a gcd per chunk until one shares a factor
+    with g (the last chunk needs none), and only that chunk is scanned."""
+    if hi - lo > CHUNK_PRIMES:
+        while lo + CHUNK_PRIMES < hi and math.gcd(g, _block_product(primes, lo, lo + CHUNK_PRIMES)) == 1:
+            lo += CHUNK_PRIMES
+        hi = min(lo + CHUNK_PRIMES, hi)
+    for p in primes[lo:hi]:
+        if g % p == 0:
+            break
+    return p
+
+
+def _smallest_prime_divisors(ms: list[int], primes: list[int], limit: int, lo: int = 0) -> list[int | None]:
+    """For each m of ms, the smallest p in `primes[lo:]`, a list from
+    small_primes, with p <= limit that divides m, or None; lo is 0 or the end
+    of a block.
+
+    The one walk of the gcd table, a block at a time for the whole list: one
+    map of math.gcd with the block's product over the terms that earlier
+    blocks left, so the interpreter's cost is per block, not per term.  A
+    term that shares a factor with a block leaves the walk with the block's
+    smallest prime dividing it; terms with the same gcd share one scan.
     """
-    screen = SCREEN_CHUNKS * CHUNK_PRIMES
-    while lo < len(primes) and primes[lo] <= limit:
-        step = CHUNK_PRIMES if lo < screen else GROUP_CHUNKS * CHUNK_PRIMES
-        hi = min(lo - lo % CHUNK_PRIMES + step if lo else FIRST_BLOCK_PRIMES, len(primes))
-        g = math.gcd(m, _block_product(primes, lo, hi))
-        if g == 1:
-            lo = hi
-            continue
-        if hi - lo > CHUNK_PRIMES:
-            while lo + CHUNK_PRIMES < hi and math.gcd(g, _block_product(primes, lo, lo + CHUNK_PRIMES)) == 1:
-                lo += CHUNK_PRIMES
-            hi = min(lo + CHUNK_PRIMES, hi)
-        for p in primes[lo:hi]:
-            if g % p == 0:
-                return p if p <= limit else None
-    return None
+    found: list[int | None] = [None] * len(ms)
+    left, xs = range(len(ms)), ms
+    smallest: dict[int, int] = {}  # gcd with a block -> its smallest prime
+    while xs and lo < len(primes) and primes[lo] <= limit:
+        hi, product = _block(primes, lo)
+        gs = list(map(math.gcd, xs, repeat(product)))
+        ones = gs.count(1)
+        if ones < len(gs):
+            for i, g in compress(zip(left, gs), map((1).__ne__, gs)):
+                p = smallest.get(g)
+                if p is None:
+                    p = smallest[g] = _smallest_prime_in_block(g, primes, lo, hi)
+                if p <= limit:
+                    found[i] = p
+            if not ones:
+                break
+            keep = list(map((1).__eq__, gs))
+            left, xs = list(compress(left, keep)), list(compress(xs, keep))
+        lo = hi
+    return found
+
+
+def screen(terms: list[int]) -> list[int | None]:
+    """Each term's smallest prime <= SCREEN_BOUND, or None (0 gives 2), from
+    one walk of the screen's blocks over the whole list.  At or above
+    MR_DETERMINISTIC_BOUND that prime is compositeness_witness's Divisor;
+    below it a prime term is NotComposite instead."""
+    return _smallest_prime_divisors(terms, small_primes(SCREEN_BOUND), SCREEN_BOUND)
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
@@ -153,14 +210,14 @@ def _mr_witness(n: int) -> int | None:
 
 def is_prime(n: int) -> bool:
     """Primality test: a sieve lookup up to SCREEN_BOUND.  Above it, n is
-    composite when _smallest_prime_divisor finds a prime <= SCREEN_BOUND
-    dividing it (a few gcds, no modular exponentiation), else when
-    _mr_witness finds a base; that is exact below MR_DETERMINISTIC_BOUND."""
-    screen = small_primes(SCREEN_BOUND)
+    composite when screen finds a prime <= SCREEN_BOUND dividing it (a few
+    gcds, no modular exponentiation), else when _mr_witness finds a base;
+    that is exact below MR_DETERMINISTIC_BOUND."""
     if n <= SCREEN_BOUND:
-        i = bisect_left(screen, n)
-        return i < len(screen) and screen[i] == n
-    return _smallest_prime_divisor(n, screen, SCREEN_BOUND) is None and _mr_witness(n) is None
+        sieve = small_primes(SCREEN_BOUND)
+        i = bisect_left(sieve, n)
+        return i < len(sieve) and sieve[i] == n
+    return screen([n])[0] is None and _mr_witness(n) is None
 
 
 @dataclass(frozen=True)
@@ -194,13 +251,23 @@ class CompositenessCertificate(NamedTuple):
 
     The one record of a certified term: `verifier.verify` makes one per
     term of a recurrence, and `lucas.composite_scan` one per Lucas term
-    u_index.  An immutable, hashable tuple record, like covering.Rule, so
-    that it costs no more than a tuple; `_replace` gives an edited copy.
+    u_index, both through make_certificates.  An immutable, hashable tuple
+    record, like covering.Rule, so that it costs no more than a tuple;
+    `_replace` gives an edited copy.
     """
 
     index: int
     term: int
     witness: Witness
+
+
+def make_certificates(
+    indices: Iterable[int], terms: Iterable[int], witnesses: Iterable[Witness]
+) -> tuple[CompositenessCertificate, ...]:
+    """One CompositenessCertificate per (index, term, witness), in order.
+    Each is made by tuple.__new__ from C: the NamedTuple's own __new__ is
+    Python code, one interpreter frame per record."""
+    return tuple(map(functools.partial(tuple.__new__, CompositenessCertificate), zip(indices, terms, witnesses)))
 
 
 def compositeness_witness(n: int, neighbour: int = 0) -> Witness:
@@ -220,20 +287,22 @@ def compositeness_witness(n: int, neighbour: int = 0) -> Witness:
     Below MR_DETERMINISTIC_BOUND, is_prime is exact and cheap, so it runs
     first and a prime gets NotComposite before any scan.  At or above it,
     is_prime never runs: the screen comes first, then the common factor
-    with neighbour, the rest of the walk, then _mr_witness.
+    with neighbour, the rest of the walk, then _mr_witness.  There the
+    screen's prime is the one `screen` finds, so `verifier.verify` screens
+    such terms in bulk and calls this only for the terms left.
     """
     m = abs(n)
     if m in (0, 1) or (m < MR_DETERMINISTIC_BOUND and is_prime(m)):
         return NotComposite()
     limit = TRIAL_BOUND if m >= TRIAL_BOUND * TRIAL_BOUND else math.isqrt(m)
-    screen = small_primes(SCREEN_BOUND)
-    p = _smallest_prime_divisor(m, screen, min(limit, SCREEN_BOUND))
+    sieve = small_primes(SCREEN_BOUND)
+    p = _smallest_prime_divisors([m], sieve, min(limit, SCREEN_BOUND))[0]
     if p is None:
         g = math.gcd(m, neighbour)
         if 1 < g < m:
             return Divisor(g)
         if limit > SCREEN_BOUND:
-            p = _smallest_prime_divisor(m, small_primes(TRIAL_BOUND), limit, len(screen))
+            p = _smallest_prime_divisors([m], small_primes(TRIAL_BOUND), limit, len(sieve))[0]
     if p is not None:
         return Divisor(p)
     base = _mr_witness(m)
@@ -314,7 +383,7 @@ def prime_factors(n: int) -> Iterator[tuple[int, int]]:
         raise ValueError("cannot factorize 0")
     m = abs(n)
     primes = small_primes(FACTOR_TRIAL_BOUND)
-    while (p := _smallest_prime_divisor(m, primes, math.isqrt(m))) is not None:
+    while (p := _smallest_prime_divisors([m], primes, math.isqrt(m))[0]) is not None:
         e = 0
         while m % p == 0:
             m //= p

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .arith import (
-    CompositenessCertificate, NotComposite, compositeness_witness, is_prime, small_primes
+    CompositenessCertificate, NotComposite, compositeness_witness, is_prime, make_certificates, small_primes
 )
 from .recurrence import RecurrenceParams, SeedPair, iter_terms, terms
 
@@ -68,7 +68,7 @@ def composite_scan(a: int, n_max: int) -> CompositeScanReport:
         raise ValueError("requires |a| >= 3")
     us = terms(RecurrenceParams(a, -1), LUCAS_SEED, max(n_max, 0))[3:]
     witnesses = map(compositeness_witness, us)
-    entries = tuple(map(CompositenessCertificate, range(3, n_max + 1), us, witnesses))
+    entries = make_certificates(range(3, n_max + 1), us, witnesses)
     return CompositeScanReport(a, n_max, entries)
 
 

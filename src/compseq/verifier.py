@@ -13,11 +13,12 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from . import constructor as C
 from .arith import (
+    MR_DETERMINISTIC_BOUND,
     CompositenessCertificate,
     Divisor,
     MillerRabinBase,
@@ -26,6 +27,8 @@ from .arith import (
     compositeness_witness,
     factorize,  # noqa: F401  unused; bench/test_bench.py expects tracing to patch it here
     int_text,
+    make_certificates,
+    screen,
 )
 from .covering import validate_triples
 from .recurrence import RecurrenceParams, SeedPair, decimal_texts, iter_terms, terms
@@ -72,13 +75,18 @@ class VerificationReport:
     certificates: tuple[CompositenessCertificate, ...]
     construction: C.ConstructionResult | None = None
     covering_law_ok: bool | None = None
+    # The certificates tuple `verify` made, for x_0..x_N of (params, seed).
+    _made_by_verify: tuple[CompositenessCertificate, ...] | None = field(default=None, repr=False, compare=False)
 
     def _term_texts(self) -> list[tuple[str, int]]:
-        """Each certificate's term in decimal with its digit count; see to_json."""
+        """Each certificate's term in decimal with its digit count; see
+        json_pieces.  Certificates that are the very tuple `verify` made need
+        no check that they are x_0..x_N."""
         certs = self.certificates
-        run = zip(certs, iter_terms(self.params, self.seed))
-        if not (certs and all(c.index == n and c.term == x for n, (c, x) in enumerate(run))):
-            return [decimal_digits(cert.term) for cert in certs]
+        if certs is not self._made_by_verify:
+            run = zip(certs, iter_terms(self.params, self.seed))
+            if not (certs and all(c.index == n and c.term == x for n, (c, x) in enumerate(run))):
+                return [decimal_digits(cert.term) for cert in certs]
         limit = _int_max_str_digits()
         texts = []
         for cert, text in zip(certs, decimal_texts(self.params, self.seed, len(certs) - 1)):
@@ -120,8 +128,9 @@ class VerificationReport:
 
         Every term text is made before this returns, so an OutputTooLarge
         comes before the first piece.  When the certificates are x_0..x_N of
-        (params, seed), as `verify` makes them, the term texts come from
-        `recurrence.decimal_texts`, the recurrence run in base 10, in time
+        (params, seed), as `verify` makes them (a report `verify` made skips
+        the walk on ints that checks this for any other), the term texts come
+        from `recurrence.decimal_texts`, the recurrence run in base 10, in time
         linear in each term's length (str(int) is quadratic); a term with
         more digits than Python's int-to-str limit still raises the
         OutputTooLarge that str() would.  Any other certificates, as in a
@@ -181,7 +190,10 @@ def verify(
     rules.  A rule's divisor is the preferred certificate for each term.
     Every other term x_n gets compositeness_witness(x_n, x_{n-2}), with 0 in
     place of x_{n-2} for n < 2: a prime <= 4096, then gcd(x_n, x_{n-2}) when
-    it properly divides x_n, then a prime <= 10^6, then a Miller-Rabin base."""
+    it properly divides x_n, then a prime <= 10^6, then a Miller-Rabin base.
+    The terms with |x_n| >= MR_DETERMINISTIC_BOUND first go through one
+    arith.screen call, which finds that prime for all of them at once; only
+    the terms it leaves and the smaller ones take a compositeness_witness call."""
     failures: list[str] = []
     coprime_ok = math.gcd(seed.x0, seed.x1) == 1
     if not coprime_ok:
@@ -215,12 +227,20 @@ def verify(
         if not all(claimed):
             failures += [f"index {n} not claimed by any rule" for n in range(size) if not claimed[n]]
         covering_law_ok = len(failures) == before
-    for n, witness in enumerate(witnesses):
-        if witness is None:
+    todo = [n for n, witness in enumerate(witnesses) if witness is None]
+    big = [n for n in todo if abs(xs[n]) >= MR_DETERMINISTIC_BOUND]
+    if big:
+        primes = screen([xs[n] for n in big])
+        divisors = {p: Divisor(p) for p in set(primes) - {None}}
+        for n, p in zip(big, primes):
+            if p is not None:
+                witnesses[n] = divisors[p]
+    for n in todo:
+        if witnesses[n] is None:
             witness = witnesses[n] = compositeness_witness(xs[n], xs[n - 2] if n >= 2 else 0)
             if isinstance(witness, NotComposite):
                 failures.append(f"|x_{n}| = {int_text(abs(xs[n]))} is not composite")
-    certificates = tuple(map(CompositenessCertificate, range(size), xs, witnesses))
+    certificates = make_certificates(range(size), xs, witnesses)
 
     return VerificationReport(
         params=params,
@@ -232,6 +252,7 @@ def verify(
         certificates=certificates,
         construction=construction,
         covering_law_ok=covering_law_ok,
+        _made_by_verify=certificates,
     )
 
 

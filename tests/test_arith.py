@@ -9,17 +9,18 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from compseq import arith
+from compseq import arith, verifier
 from compseq.arith import (
     CHUNK_PRIMES,
+    DIGIT_BASE,
     FACTOR_TRIAL_BOUND,
-    FIRST_BLOCK_PRIMES,
     GROUP_CHUNKS,
     MR_DETERMINISTIC_BASES,
     MR_DETERMINISTIC_BOUND,
     SCREEN_BOUND,
     SCREEN_CHUNKS,
     TRIAL_BOUND,
+    WORD_BLOCK_BOUND,
     Divisor,
     EffortExceeded,
     MillerRabinBase,
@@ -33,8 +34,10 @@ from compseq.arith import (
     factorize,
     is_prime,
     prime_factors,
+    screen,
     small_primes,
 )
+from compseq.recurrence import RecurrenceParams, SeedPair
 
 
 def trial_division_is_prime(n):
@@ -187,14 +190,30 @@ def plain_loop_witness(n, trial_bound, neighbour=0):
             return MillerRabinBase(a)
 
 
-# Primes on either side of the first block's end (97 and 101), of a chunk
-# boundary of the gcd table (and of the 128th prime), of the is_prime screen,
-# and of both trial bounds below; and of the first, second and last group of
-# chunks the scan to 10**6 takes.
+def word_blocks():
+    """The primes below WORD_BLOCK_BOUND, as many to a block as keep its
+    product below one CPython digit."""
+    blocks = [[]]
+    for p in small_primes(WORD_BLOCK_BOUND - 1):
+        if math.prod(blocks[-1]) * p >= DIGIT_BASE:
+            blocks.append([])
+        blocks[-1].append(p)
+    return blocks
+
+
+WORD_BLOCKS = word_blocks()
+# The number of primes up to the end of each word-size block.
+WORD_ENDS = list(itertools.accumulate(map(len, WORD_BLOCKS)))
+# The first and last prime of every word-size block, and the first past them.
+WORD_EDGE_PRIMES = {p for block in WORD_BLOCKS for p in (block[0], block[-1])} | {sympy.nextprime(WORD_BLOCK_BOUND)}
+# Primes on either side of each word-size block's end (23/29 to 97/101), of a
+# chunk boundary of the gcd table (and of the 128th prime), of the is_prime
+# screen, and of both trial bounds below; and of the first, second and last
+# group of chunks the scan to 10**6 takes.
 SCREEN_PRIMES, GROUP_PRIMES = SCREEN_CHUNKS * CHUNK_PRIMES, GROUP_CHUNKS * CHUNK_PRIMES
 GROUP_STARTS = [SCREEN_PRIMES + j * GROUP_PRIMES for j in (0, 1, (sympy.primepi(10**6) - SCREEN_PRIMES) // GROUP_PRIMES)]
 EDGE_PRIMES = sorted(
-    {sympy.prime(i) for i in (FIRST_BLOCK_PRIMES, FIRST_BLOCK_PRIMES + 1)}
+    WORD_EDGE_PRIMES
     | {sympy.prime(i) for i in (128, 129, CHUNK_PRIMES, CHUNK_PRIMES + 1, 2 * CHUNK_PRIMES, 2 * CHUNK_PRIMES + 1)}
     | {sympy.prime(i) for lo in GROUP_STARTS for i in (lo, lo + 1)}
     | {f(bound) for bound in (SCREEN_BOUND, 10**4, 10**6) for f in (sympy.prevprime, sympy.nextprime)}
@@ -220,11 +239,11 @@ def test_witness_matches_plain_loop_at_chunk_and_bound_edges(p, k, q, trial_boun
             assert compositeness_witness(n) == plain_loop_witness(n, trial_bound), n
 
 
-@pytest.mark.parametrize("p", [2, 97])
-def test_a_factor_below_100_costs_one_small_gcd(monkeypatch, p):
+@pytest.mark.parametrize("p", [2, 23, 29, 97])
+def test_a_factor_below_100_costs_only_word_size_gcds(monkeypatch, p):
     # A 2048-bit m whose smallest prime is below 100 is found by one gcd with
-    # the product of those 25 primes and a scan of what it shares, with no
-    # gcd against a larger block and none to descend into this one.
+    # each word-size block up to p's, each product below one CPython digit,
+    # and a scan of what it shares, with no gcd against a larger block.
     below_p = math.prod(small_primes(p - 1))
     m = p * next(r for r in itertools.count(-(-(2**2047) // p)) if math.gcd(r, below_p) == 1)
     assert m.bit_length() == 2048
@@ -235,14 +254,30 @@ def test_a_factor_below_100_costs_one_small_gcd(monkeypatch, p):
         return math.gcd(x, y)
 
     monkeypatch.setattr(arith, "math", SimpleNamespace(**{**vars(math), "gcd": gcd}))
-    assert arith._smallest_prime_divisor(m, small_primes(TRIAL_BOUND), TRIAL_BOUND) == p
-    assert seen == [math.prod(small_primes(100))]
+    assert arith._smallest_prime_divisors([m], small_primes(TRIAL_BOUND), TRIAL_BOUND) == [p]
+    blocks = WORD_BLOCKS[: next(i for i, block in enumerate(WORD_BLOCKS) if p in block) + 1]
+    assert seen == [math.prod(block) for block in blocks]
+    assert max(seen) < DIGIT_BASE
 
 
-def test_screen_is_whole_chunks():
-    # is_prime's screen to SCREEN_BOUND takes whole chunks of the gcd table,
-    # so it needs no partial product.
+def test_screen_is_word_size_blocks_then_whole_chunks():
+    # The primes below 100 come in products below one CPython digit; then the
+    # screen to SCREEN_BOUND takes whole chunks of the gcd table, so it needs
+    # no partial product.
+    if DIGIT_BASE == 2**30:
+        assert WORD_BLOCKS == [
+            [2, 3, 5, 7, 11, 13, 17, 19, 23],
+            [29, 31, 37, 41, 43],
+            [47, 53, 59, 61, 67],
+            [71, 73, 79, 83],
+            [89, 97],
+        ]
     assert SCREEN_CHUNKS * CHUNK_PRIMES == len(small_primes(SCREEN_BOUND)) == 564
+    ends, lo = [], 0
+    while lo < 564:
+        lo = arith._block(small_primes(SCREEN_BOUND), lo)[0]
+        ends.append(lo)
+    assert ends == [*WORD_ENDS, *range(CHUNK_PRIMES, 564 + 1, CHUNK_PRIMES)]
 
 
 # Primes past trial division (10**6), below and above MR_DETERMINISTIC_BOUND
@@ -288,6 +323,56 @@ def test_neighbour_replaces_only_a_prime_past_the_screen_or_a_base_by_the_common
         assert shared == Divisor(g)
     else:
         assert shared == plain
+
+
+# The primes on both sides of every block edge of the screen: between the
+# word-size blocks (23/29 to 97/101), at each chunk edge, and at its end
+# (4093/4099).
+SCREEN_EDGE_PRIMES = sorted(
+    WORD_EDGE_PRIMES | {sympy.prime(k + i) for k in range(CHUNK_PRIMES, SCREEN_PRIMES + 1, CHUNK_PRIMES) for i in (0, 1)}
+)
+# Terms a covering list seldom holds: 0 and +-1, primes below and past the
+# screen, and terms at and just below MR_DETERMINISTIC_BOUND.
+ODD_TERMS = (0, 1, -1, 7, -97, 4099, 15, MR_DETERMINISTIC_BOUND, -(MR_DETERMINISTIC_BOUND - 2))
+
+
+@st.composite
+def term_lists(draw):
+    """Lists of terms on both sides of MR_DETERMINISTIC_BOUND, with 0, +-1
+    and negative terms: each is up to two primes at block edges of the
+    screen, times 1, 1000003 or a large prime, and maybe times a prime past
+    trial division that other terms, its neighbours or not, share."""
+    shared = draw(st.sampled_from(PAST_TRIAL_PRIMES))
+    xs = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 4)) == 0:
+            xs.append(draw(st.sampled_from(ODD_TERMS)))
+            continue
+        small = draw(st.lists(st.sampled_from(SCREEN_EDGE_PRIMES), max_size=2))
+        big = draw(st.sampled_from((1, 1000003, *LARGE_PRIMES)))
+        carried = shared if draw(st.booleans()) else 1
+        xs.append(draw(st.sampled_from((1, -1))) * math.prod(small) * big * carried)
+    return xs
+
+
+@settings(max_examples=80, deadline=None)
+@given(xs=term_lists())
+@example(xs=[0, 7, 23 * 29 * LARGE_PRIMES[0], 89 * 97 * LARGE_PRIMES[1], 97 * 101 * LARGE_PRIMES[0], -4093 * 4099 * LARGE_PRIMES[2]])
+@example(xs=[1000003 * LARGE_PRIMES[0], 1, 1000003 * LARGE_PRIMES[1], -1, -(MR_DETERMINISTIC_BOUND - 2)])
+def test_bulk_screen_matches_the_per_term_witness(xs):
+    # The screen gives each term its smallest prime <= SCREEN_BOUND, 2 for 0;
+    # verify, which screens the terms at or above MR_DETERMINISTIC_BOUND in
+    # bulk and certifies the rest one by one, gives every term of the list
+    # the plain loop's witness with x_{n-2} as neighbour.
+    sieve = small_primes(SCREEN_BOUND)
+    assert screen(xs) == [next((p for p in sieve if x % p == 0), None) for x in xs]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "terms", lambda params, seed, n: xs)
+        report = verifier.verify(RecurrenceParams(1, 1), SeedPair(1, 1), len(xs) - 1)
+    neighbours = [0, 0, *xs][: len(xs)]
+    assert [c.witness for c in report.certificates] == [
+        plain_loop_witness(x, TRIAL_BOUND, k) for x, k in zip(xs, neighbours)
+    ]
 
 
 def assert_witness_agrees_with_is_prime(n):
@@ -348,14 +433,14 @@ class TestFactorize:
 
 
 LAST_TRIAL_PRIME = sympy.prevprime(FACTOR_TRIAL_BOUND)
-# The primes on both sides of each block edge of the walk: the end of the
-# first block (97 and 101), the first chunk edge, the end of the screen and
-# the end of the first group; then the last trial prime and the first prime
-# past it.
+# The primes on both sides of each block edge of the walk: the end of each
+# word-size block (23/29 to 97/101), the first chunk edge, the end of the
+# screen and the end of the first group; then the last trial prime and the
+# first prime past it.
 BLOCK_EDGE_PRIMES = [
     sympy.prime(k + i)
     for k in (
-        FIRST_BLOCK_PRIMES,
+        *WORD_ENDS,
         CHUNK_PRIMES,
         SCREEN_CHUNKS * CHUNK_PRIMES,
         (SCREEN_CHUNKS + GROUP_CHUNKS) * CHUNK_PRIMES,

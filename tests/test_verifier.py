@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import json
 import math
 import sys
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compseq import arith, verifier
+from compseq import arith, recurrence, verifier
 from compseq import constructor as C
 from compseq.arith import (
     MR_DETERMINISTIC_BOUND,
@@ -19,7 +20,7 @@ from compseq.arith import (
     small_primes,
 )
 from compseq.covering import Rule
-from compseq.recurrence import RecurrenceParams, SeedPair, decimal_texts, terms
+from compseq.recurrence import RecurrenceParams, SeedPair, decimal_texts, iter_terms, terms
 from compseq.verifier import (
     CompositenessCertificate,
     OutputTooLarge,
@@ -229,6 +230,17 @@ class TestRuleAudit:
         for cert in report.certificates:
             assert isinstance(cert.witness, Divisor), cert
             assert cert.witness.d in divisors, cert
+
+    def test_rules_that_claim_every_term_leave_no_term_to_screen(self, monkeypatch):
+        # A count: where the rules claim every index, as on the grid, verify
+        # calls neither the bulk screen nor compositeness_witness.
+        calls = []
+        monkeypatch.setattr(verifier, "screen", lambda *args: calls.append(args))
+        monkeypatch.setattr(verifier, "compositeness_witness", lambda *args: calls.append(args))
+        for a, b in sorted(STRATEGY_PAIRS.values()):
+            report = verify_construction(C.construct(a, b), 200)
+            assert report.verdict and report.covering_law_ok is True
+        assert calls == []
 
     @pytest.mark.parametrize(
         "rules",
@@ -485,6 +497,32 @@ class TestTermTexts:
             if other != certs:  # at n = 0 there is nothing to reorder
                 dataclasses.replace(report, certificates=other).to_dict()
         assert len(runs) == 1
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            lambda: verify_construction(C.construct(7, 1), 60),
+            lambda: verify_construction(C.construct(1174571, 1), 200),
+            lambda: verify(RecurrenceParams(1, 1), SeedPair(*C.VSEMIRNOV_PAIR), 300),
+            lambda: verify(RecurrenceParams(7, 3), SeedPair(-20, 21), 0),
+        ],
+        ids=["7", "1174571", "vsemirnov", "n=0"],
+    )
+    def test_a_report_verify_made_walks_the_recurrence_once_on_decimals(self, monkeypatch, report):
+        # A count: the JSON of a report verify made runs iter_terms once, on
+        # the Decimal seeds of decimal_texts, with no walk on ints to check
+        # that its certificates are x_0..x_N.
+        report = report()
+        walks = []
+
+        def counting(params, seed):
+            walks.append(type(seed.x0))
+            return iter_terms(params, seed)
+
+        monkeypatch.setattr(recurrence, "iter_terms", counting)
+        monkeypatch.setattr(verifier, "iter_terms", counting)
+        assert_texts_match_str(report)
+        assert walks == [decimal.Decimal]
 
     def test_reordered_certificates_print_their_own_terms(self):
         report = verify_construction(C.construct(5, 1), 20)
