@@ -41,7 +41,7 @@ MR_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # Random Miller-Rabin bases after the fixed ones, at or above MR_DETERMINISTIC_BOUND.
 MR_ROUNDS = 64
-# compositeness_witness divides by the primes up to this bound before Miller-Rabin.
+# witness_past_screen divides by the primes up to this bound before Miller-Rabin.
 TRIAL_BOUND = 10**6
 # prime_factors divides by the primes up to this bound before Pollard-Brent.
 FACTOR_TRIAL_BOUND = 10**5
@@ -137,10 +137,9 @@ def _smallest_prime_in_block(g: int, primes: list[int], lo: int, hi: int) -> int
     return p
 
 
-def _smallest_prime_divisors(ms: list[int], primes: list[int], limit: int, lo: int = 0) -> list[int | None]:
-    """For each m of ms, the smallest p in `primes[lo:]`, a list from
-    small_primes, with p <= limit that divides m, or None; lo is 0 or the end
-    of a block.
+def _smallest_prime_divisors(ms: list[int], primes: list[int], limit: int) -> list[int | None]:
+    """For each m of ms, the smallest p in `primes`, a list from small_primes,
+    with p <= limit that divides m, or None.
 
     The one walk of the gcd table, a block at a time for the whole list: one
     map of math.gcd with the block's product over the terms that earlier
@@ -149,7 +148,7 @@ def _smallest_prime_divisors(ms: list[int], primes: list[int], limit: int, lo: i
     smallest prime dividing it; terms with the same gcd share one scan.
     """
     found: list[int | None] = [None] * len(ms)
-    left, xs = range(len(ms)), ms
+    left, xs, lo = range(len(ms)), ms, 0
     smallest: dict[int, int] = {}  # gcd with a block -> its smallest prime
     while xs and lo < len(primes) and primes[lo] <= limit:
         hi, product = _block(primes, lo)
@@ -273,36 +272,40 @@ def make_certificates(
 def compositeness_witness(n: int, neighbour: int = 0) -> Witness:
     """Produce a checkable witness that |n| is composite, or NotComposite.
 
-    A composite |n| gets, in this order: Divisor(p) for the smallest prime
-    p <= min(SCREEN_BOUND, isqrt|n|) dividing it; Divisor(g) for
-    g = gcd(|n|, neighbour) when 1 < g < |n|; Divisor(p) for the smallest
-    prime p <= min(TRIAL_BOUND, isqrt|n|) past the screen dividing it; else
-    the first base _mr_witness finds, or NotComposite when there is none.
-    A recurrence term x_n passes x_{n-2} as neighbour: x_n = b*x_{n-2}
-    (mod a), so a prime of a dividing x_{n-2} divides x_n, and the gcd saves
-    the walk to TRIAL_BOUND, whose primes are only sieved when a term needs
-    them.  The default 0 never gives a proper divisor, since gcd(m, 0) = m,
-    so a one-argument call gets the smallest prime <= TRIAL_BOUND.
-
-    Below MR_DETERMINISTIC_BOUND, is_prime is exact and cheap, so it runs
-    first and a prime gets NotComposite before any scan.  At or above it,
-    is_prime never runs: the screen comes first, then the common factor
-    with neighbour, the rest of the walk, then _mr_witness.  There the
-    screen's prime is the one `screen` finds, so `verifier.verify` screens
-    such terms in bulk and calls this only for the terms left.
+    The one statement of the certificate order, in two steps.  First 0 and
+    +-1 get NotComposite, and so does a prime below MR_DETERMINISTIC_BOUND,
+    where is_prime is exact and cheap; else Divisor(p) for the smallest prime
+    p <= SCREEN_BOUND dividing |n|, the one `screen` finds.  Then
+    witness_past_screen(|n|, neighbour) certifies what the screen leaves.
+    `verifier.verify` screens its terms at or above MR_DETERMINISTIC_BOUND
+    in bulk and sends each one the screen leaves to witness_past_screen.
+    Below MR_DETERMINISTIC_BOUND only a composite gets past is_prime, and
+    its smallest prime is at most isqrt|n|, so neither step needs that bound.
     """
     m = abs(n)
     if m in (0, 1) or (m < MR_DETERMINISTIC_BOUND and is_prime(m)):
         return NotComposite()
-    limit = TRIAL_BOUND if m >= TRIAL_BOUND * TRIAL_BOUND else math.isqrt(m)
-    sieve = small_primes(SCREEN_BOUND)
-    p = _smallest_prime_divisors([m], sieve, min(limit, SCREEN_BOUND))[0]
-    if p is None:
-        g = math.gcd(m, neighbour)
-        if 1 < g < m:
-            return Divisor(g)
-        if limit > SCREEN_BOUND:
-            p = _smallest_prime_divisors([m], small_primes(TRIAL_BOUND), limit, len(sieve))[0]
+    p = screen([m])[0]
+    return witness_past_screen(m, neighbour) if p is None else Divisor(p)
+
+
+def witness_past_screen(m: int, neighbour: int) -> Witness:
+    """compositeness_witness's second step, for m > 1 that no prime <=
+    SCREEN_BOUND divides and that is composite or at least
+    MR_DETERMINISTIC_BOUND: Divisor(g) for g = gcd(m, neighbour) when
+    1 < g < m; else Divisor(p) for the smallest prime p <= TRIAL_BOUND
+    dividing m; else the first base _mr_witness finds, or NotComposite when
+    there is none.
+
+    A recurrence term x_n passes x_{n-2} as neighbour: x_n = b*x_{n-2}
+    (mod a), so a prime of a dividing x_{n-2} divides x_n, and the gcd saves
+    the walk to TRIAL_BOUND, whose primes are only sieved when a term needs
+    them.  A neighbour of 0 never gives a proper divisor, since gcd(m, 0) = m.
+    """
+    g = math.gcd(m, neighbour)
+    if 1 < g < m:
+        return Divisor(g)
+    p = _smallest_prime_divisors([m], small_primes(TRIAL_BOUND), TRIAL_BOUND)[0]
     if p is not None:
         return Divisor(p)
     base = _mr_witness(m)
@@ -371,7 +374,7 @@ def prime_factors(n: int) -> Iterator[tuple[int, int]]:
     Pollard-Brent split of the cofactor they leave, sorted.
 
     Each trial prime is the smallest prime divisor of the current cofactor m
-    up to isqrt(m), from _smallest_prime_divisor; the walk stops when there
+    up to isqrt(m), from _smallest_prime_divisors; the walk stops when there
     is none.  The m it leaves has no prime factor up to min(isqrt(m), the
     last trial prime), so every piece of m below the square of the last
     trial prime is prime without a test.  Runs lazily: a caller that

@@ -3,9 +3,8 @@
 Given (a, b, x0, x1, N), certifies coprimality and per-term compositeness,
 and runs the divisor-rule audit for every strategy: each index must be
 claimed by one of the construction's rules, and every claimed divisor must
-properly divide its term.  Certificates prefer that divisor, then a prime
-<= 4096, then the term's common factor with x_{n-2}, then a prime <= 10^6,
-then a Miller-Rabin witness base.
+properly divide its term.  Certificates prefer that divisor, then the
+witness `arith.compositeness_witness` gives with x_{n-2} as neighbour.
 """
 
 from __future__ import annotations
@@ -29,9 +28,10 @@ from .arith import (
     int_text,
     make_certificates,
     screen,
+    witness_past_screen,
 )
 from .covering import validate_triples
-from .recurrence import RecurrenceParams, SeedPair, decimal_texts, iter_terms, terms
+from .recurrence import RecurrenceParams, SeedPair, decimal_texts, terms
 
 
 class OutputTooLarge(ValueError):
@@ -80,13 +80,10 @@ class VerificationReport:
 
     def _term_texts(self) -> list[tuple[str, int]]:
         """Each certificate's term in decimal with its digit count; see
-        json_pieces.  Certificates that are the very tuple `verify` made need
-        no check that they are x_0..x_N."""
+        json_pieces."""
         certs = self.certificates
         if certs is not self._made_by_verify:
-            run = zip(certs, iter_terms(self.params, self.seed))
-            if not (certs and all(c.index == n and c.term == x for n, (c, x) in enumerate(run))):
-                return [decimal_digits(cert.term) for cert in certs]
+            return [decimal_digits(cert.term) for cert in certs]
         limit = _int_max_str_digits()
         texts = []
         for cert, text in zip(certs, decimal_texts(self.params, self.seed, len(certs) - 1)):
@@ -127,14 +124,13 @@ class VerificationReport:
         prefixed by pad; terms and seeds are decimal strings.
 
         Every term text is made before this returns, so an OutputTooLarge
-        comes before the first piece.  When the certificates are x_0..x_N of
-        (params, seed), as `verify` makes them (a report `verify` made skips
-        the walk on ints that checks this for any other), the term texts come
-        from `recurrence.decimal_texts`, the recurrence run in base 10, in time
+        comes before the first piece.  When the certificates are the tuple
+        `verify` made, x_0..x_N of (params, seed), the term texts come from
+        `recurrence.decimal_texts`, the recurrence run in base 10, in time
         linear in each term's length (str(int) is quadratic); a term with
         more digits than Python's int-to-str limit still raises the
         OutputTooLarge that str() would.  Any other certificates, as in a
-        hand-built, edited or empty report, print each term's own text by
+        hand-built or edited report, print each term's own text by
         `decimal_digits`.  A term text is only digits and a sign, so each
         certificate is written by one template with pad in it, without
         escaping; the other keys go through json.dumps.
@@ -189,11 +185,9 @@ def verify(
     and the divisor-rule audit for every strategy whose construction states
     rules.  A rule's divisor is the preferred certificate for each term.
     Every other term x_n gets compositeness_witness(x_n, x_{n-2}), with 0 in
-    place of x_{n-2} for n < 2: a prime <= 4096, then gcd(x_n, x_{n-2}) when
-    it properly divides x_n, then a prime <= 10^6, then a Miller-Rabin base.
-    The terms with |x_n| >= MR_DETERMINISTIC_BOUND first go through one
-    arith.screen call, which finds that prime for all of them at once; only
-    the terms it leaves and the smaller ones take a compositeness_witness call."""
+    place of x_{n-2} for n < 2.  The terms with |x_n| >= MR_DETERMINISTIC_BOUND
+    take its two steps apart: one arith.screen call for all of them, then
+    witness_past_screen for each term the screen leaves."""
     failures: list[str] = []
     coprime_ok = math.gcd(seed.x0, seed.x1) == 1
     if not coprime_ok:
@@ -233,13 +227,14 @@ def verify(
         primes = screen([xs[n] for n in big])
         divisors = {p: Divisor(p) for p in set(primes) - {None}}
         for n, p in zip(big, primes):
-            if p is not None:
-                witnesses[n] = divisors[p]
+            neighbour = xs[n - 2] if n >= 2 else 0
+            witnesses[n] = witness_past_screen(abs(xs[n]), neighbour) if p is None else divisors[p]
     for n in todo:
-        if witnesses[n] is None:
+        witness = witnesses[n]
+        if witness is None:
             witness = witnesses[n] = compositeness_witness(xs[n], xs[n - 2] if n >= 2 else 0)
-            if isinstance(witness, NotComposite):
-                failures.append(f"|x_{n}| = {int_text(abs(xs[n]))} is not composite")
+        if isinstance(witness, NotComposite):
+            failures.append(f"|x_{n}| = {int_text(abs(xs[n]))} is not composite")
     certificates = make_certificates(range(size), xs, witnesses)
 
     return VerificationReport(

@@ -36,6 +36,7 @@ from compseq.arith import (
     prime_factors,
     screen,
     small_primes,
+    witness_past_screen,
 )
 from compseq.recurrence import RecurrenceParams, SeedPair
 
@@ -359,6 +360,7 @@ def term_lists(draw):
 @given(xs=term_lists())
 @example(xs=[0, 7, 23 * 29 * LARGE_PRIMES[0], 89 * 97 * LARGE_PRIMES[1], 97 * 101 * LARGE_PRIMES[0], -4093 * 4099 * LARGE_PRIMES[2]])
 @example(xs=[1000003 * LARGE_PRIMES[0], 1, 1000003 * LARGE_PRIMES[1], -1, -(MR_DETERMINISTIC_BOUND - 2)])
+@example(xs=[-1000003 * LARGE_PRIMES[0], 1, -1000003 * LARGE_PRIMES[1]])
 def test_bulk_screen_matches_the_per_term_witness(xs):
     # The screen gives each term its smallest prime <= SCREEN_BOUND, 2 for 0;
     # verify, which screens the terms at or above MR_DETERMINISTIC_BOUND in
@@ -373,6 +375,19 @@ def test_bulk_screen_matches_the_per_term_witness(xs):
     assert [c.witness for c in report.certificates] == [
         plain_loop_witness(x, TRIAL_BOUND, k) for x, k in zip(xs, neighbours)
     ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(xs=term_lists())
+@example(xs=[4099 * LARGE_PRIMES[0], 1000003 * LARGE_PRIMES[1], -1000003 * LARGE_PRIMES[0], 97 * LARGE_PRIMES[2]])
+def test_witness_is_the_screen_then_witness_past_screen(xs):
+    # At or above MR_DETERMINISTIC_BOUND the witness is the screen's prime,
+    # else witness_past_screen of |n|, with x_{n-2} as neighbour as in verify.
+    for n, k in zip(xs, [0, 0, *xs]):
+        if abs(n) >= MR_DETERMINISTIC_BOUND:
+            p = screen([abs(n)])[0]
+            two_steps = witness_past_screen(abs(n), k) if p is None else Divisor(p)
+            assert compositeness_witness(n, k) == two_steps == plain_loop_witness(n, TRIAL_BOUND, k), n
 
 
 def assert_witness_agrees_with_is_prime(n):

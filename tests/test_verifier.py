@@ -1,5 +1,6 @@
 import dataclasses
 import decimal
+import functools
 import json
 import math
 import sys
@@ -34,6 +35,16 @@ from compseq.verifier import (
 
 # 1000003 and nextprime(MR_DETERMINISTIC_BOUND): two primes past trial division.
 BIG_P, BIG_Q = 1000003, 3317044064679887385962123
+
+
+@functools.cache
+def product_of_primes_to_a_million():
+    """math.prod(small_primes(10**6)), built once by pairwise products, which
+    take a fraction of the sequential product's time."""
+    xs = small_primes(10**6)
+    while len(xs) > 1:
+        xs = [math.prod(xs[i : i + 2]) for i in range(0, len(xs), 2)]
+    return xs[0]
 
 
 class TestVerify:
@@ -79,7 +90,7 @@ class TestVerify:
 
         monkeypatch.setattr(arith, "_strong_probable_prime", counting)
         report = verify(params, seed, n_terms)
-        small = math.prod(small_primes(10**6))
+        small = product_of_primes_to_a_million()
         xs = [abs(x) for x in terms(params, seed, n_terms)]
         expected = sum(
             x >= MR_DETERMINISTIC_BOUND and math.gcd(x, small) == 1 and math.gcd(x, xs[n - 2] if n >= 2 else 0) in (1, x)
@@ -114,6 +125,28 @@ class TestVerify:
                 changed += 1
             assert cert.witness == expected, n
         assert changed > 0
+
+    def test_each_large_term_is_screened_once(self, monkeypatch):
+        # A count: verify screens the terms at or above MR_DETERMINISTIC_BOUND
+        # in one bulk walk of the screen's primes, and hands those it leaves
+        # to witness_past_screen, which walks the screen no second time.
+        params, seed = RecurrenceParams(1174571, 1), C.construct(1174571, 1).seed
+        xs = terms(params, seed, 200)
+        n_terms = next(n for n, x in enumerate(xs) if abs(x).bit_length() >= 2048)
+        walked = []
+        walk = arith._smallest_prime_divisors
+
+        def counting(ms, primes, limit):
+            if primes is small_primes(SCREEN_BOUND):
+                walked.extend(map(abs, ms))
+            return walk(ms, primes, limit)
+
+        monkeypatch.setattr(arith, "_smallest_prime_divisors", counting)
+        report = verify(params, seed, n_terms)
+        assert report.verdict
+        large = [abs(x) for x in xs[: n_terms + 1] if abs(x) >= MR_DETERMINISTIC_BOUND]
+        assert sum(isinstance(c.witness, Divisor) and c.witness.d > SCREEN_BOUND for c in report.certificates) > 0
+        assert all(walked.count(x) == 1 for x in large)
 
     def test_the_first_two_terms_have_no_x_n_minus_2(self):
         # x_0 = P * Q has no prime <= 10**6, and x_4 = x_0 (mod P) shares P
@@ -233,9 +266,10 @@ class TestRuleAudit:
 
     def test_rules_that_claim_every_term_leave_no_term_to_screen(self, monkeypatch):
         # A count: where the rules claim every index, as on the grid, verify
-        # calls neither the bulk screen nor compositeness_witness.
+        # calls neither the bulk screen nor either witness step.
         calls = []
         monkeypatch.setattr(verifier, "screen", lambda *args: calls.append(args))
+        monkeypatch.setattr(verifier, "witness_past_screen", lambda *args: calls.append(args))
         monkeypatch.setattr(verifier, "compositeness_witness", lambda *args: calls.append(args))
         for a, b in sorted(STRATEGY_PAIRS.values()):
             report = verify_construction(C.construct(a, b), 200)
@@ -510,8 +544,7 @@ class TestTermTexts:
     )
     def test_a_report_verify_made_walks_the_recurrence_once_on_decimals(self, monkeypatch, report):
         # A count: the JSON of a report verify made runs iter_terms once, on
-        # the Decimal seeds of decimal_texts, with no walk on ints to check
-        # that its certificates are x_0..x_N.
+        # the Decimal seeds of decimal_texts, and never on ints.
         report = report()
         walks = []
 
@@ -520,7 +553,6 @@ class TestTermTexts:
             return iter_terms(params, seed)
 
         monkeypatch.setattr(recurrence, "iter_terms", counting)
-        monkeypatch.setattr(verifier, "iter_terms", counting)
         assert_texts_match_str(report)
         assert walks == [decimal.Decimal]
 
