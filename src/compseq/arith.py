@@ -5,9 +5,10 @@ remainder solver, and integer texts for failure messages.  Everything here
 is a pure function of its inputs: the random Miller-Rabin bases and
 Pollard-Brent starts come from generators with fixed seeds.
 
-Trial division is one walk over a table of blocks of small primes, one gcd
-per block for a whole list of terms (`screen` walks it to SCREEN_BOUND); its
-first blocks are word-size products, which reduce a term in one pass.
+Trial division is one walk over a table of blocks of the primes up to
+TRIAL_BOUND, one gcd per block for a whole list of terms (`screen` walks it
+to SCREEN_BOUND); its first blocks are word-size products, which reduce a
+term in one pass.
 """
 
 from __future__ import annotations
@@ -41,16 +42,15 @@ MR_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # Random Miller-Rabin bases after the fixed ones, at or above MR_DETERMINISTIC_BOUND.
 MR_ROUNDS = 64
-# witness_past_screen divides by the primes up to this bound before Miller-Rabin.
-TRIAL_BOUND = 10**6
-# prime_factors divides by the primes up to this bound before Pollard-Brent.
-FACTOR_TRIAL_BOUND = 10**5
+# The one list of trial primes ends here: witness_past_screen divides by them
+# before Miller-Rabin, prime_factors before Pollard-Brent.
+TRIAL_BOUND = 10**5
 # Pollard-Brent iterations per attempt before a cofactor counts as resisting.
 RHO_EFFORT = 10**6
 COPRIME_SHIFT_CAP = 10**6
 
-# is_prime answers n <= SCREEN_BOUND from the sieve and, above it, rejects
-# every n with a prime factor <= SCREEN_BOUND by gcd before Miller-Rabin.
+# screen walks the trial primes up to this bound; is_prime uses it to reject
+# every n > TRIAL_BOUND with a prime factor <= SCREEN_BOUND before Miller-Rabin.
 SCREEN_BOUND = 4096
 # The gcd table.  Its first blocks hold the primes below WORD_BLOCK_BOUND, as
 # many to a block as keep the product one CPython digit, below DIGIT_BASE
@@ -76,8 +76,8 @@ def small_primes(limit: int) -> list[int]:
     flags[0:2] = b"\x00\x00"
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [i for i in range(limit + 1) if flags[i]]
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(compress(range(limit + 1), flags))
 
 
 # (lo, hi) -> product of the primes with indices [lo, hi).  Every small_primes
@@ -137,9 +137,9 @@ def _smallest_prime_in_block(g: int, primes: list[int], lo: int, hi: int) -> int
     return p
 
 
-def _smallest_prime_divisors(ms: list[int], primes: list[int], limit: int) -> list[int | None]:
-    """For each m of ms, the smallest p in `primes`, a list from small_primes,
-    with p <= limit that divides m, or None.
+def _smallest_prime_divisors(ms: list[int], limit: int) -> list[int | None]:
+    """For each m of ms, the smallest prime p <= min(limit, TRIAL_BOUND)
+    that divides m, or None.
 
     The one walk of the gcd table, a block at a time for the whole list: one
     map of math.gcd with the block's product over the terms that earlier
@@ -147,6 +147,7 @@ def _smallest_prime_divisors(ms: list[int], primes: list[int], limit: int) -> li
     term that shares a factor with a block leaves the walk with the block's
     smallest prime dividing it; terms with the same gcd share one scan.
     """
+    primes = small_primes(TRIAL_BOUND)
     found: list[int | None] = [None] * len(ms)
     left, xs, lo = range(len(ms)), ms, 0
     smallest: dict[int, int] = {}  # gcd with a block -> its smallest prime
@@ -174,7 +175,7 @@ def screen(terms: list[int]) -> list[int | None]:
     one walk of the screen's blocks over the whole list.  At or above
     MR_DETERMINISTIC_BOUND that prime is compositeness_witness's Divisor;
     below it a prime term is NotComposite instead."""
-    return _smallest_prime_divisors(terms, small_primes(SCREEN_BOUND), SCREEN_BOUND)
+    return _smallest_prime_divisors(terms, SCREEN_BOUND)
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
@@ -208,14 +209,14 @@ def _mr_witness(n: int) -> int | None:
 
 
 def is_prime(n: int) -> bool:
-    """Primality test: a sieve lookup up to SCREEN_BOUND.  Above it, n is
-    composite when screen finds a prime <= SCREEN_BOUND dividing it (a few
-    gcds, no modular exponentiation), else when _mr_witness finds a base;
-    that is exact below MR_DETERMINISTIC_BOUND."""
-    if n <= SCREEN_BOUND:
-        sieve = small_primes(SCREEN_BOUND)
-        i = bisect_left(sieve, n)
-        return i < len(sieve) and sieve[i] == n
+    """Primality test: a lookup in the trial primes up to TRIAL_BOUND.  Above
+    it, n is composite when screen finds a prime <= SCREEN_BOUND dividing it
+    (a few gcds, no modular exponentiation), else when _mr_witness finds a
+    base; that is exact below MR_DETERMINISTIC_BOUND."""
+    if n <= TRIAL_BOUND:
+        primes = small_primes(TRIAL_BOUND)
+        i = bisect_left(primes, n)
+        return i < len(primes) and primes[i] == n
     return screen([n])[0] is None and _mr_witness(n) is None
 
 
@@ -299,13 +300,13 @@ def witness_past_screen(m: int, neighbour: int) -> Witness:
 
     A recurrence term x_n passes x_{n-2} as neighbour: x_n = b*x_{n-2}
     (mod a), so a prime of a dividing x_{n-2} divides x_n, and the gcd saves
-    the walk to TRIAL_BOUND, whose primes are only sieved when a term needs
-    them.  A neighbour of 0 never gives a proper divisor, since gcd(m, 0) = m.
+    the walk past the screen.  A neighbour of 0 never gives a proper
+    divisor, since gcd(m, 0) = m.
     """
     g = math.gcd(m, neighbour)
     if 1 < g < m:
         return Divisor(g)
-    p = _smallest_prime_divisors([m], small_primes(TRIAL_BOUND), TRIAL_BOUND)[0]
+    p = _smallest_prime_divisors([m], TRIAL_BOUND)[0]
     if p is not None:
         return Divisor(p)
     base = _mr_witness(m)
@@ -332,9 +333,7 @@ class PrimeFactorization:
 
 
 def _pollard_brent(n: int, rng: random.Random) -> int | None:
-    """Brent's variant of Pollard rho; returns a nontrivial factor or None."""
-    if n % 2 == 0:
-        return 2
+    """Brent's variant of Pollard rho on odd n: a nontrivial factor or None."""
     for _ in range(20):
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -370,8 +369,8 @@ def _pollard_brent(n: int, rng: random.Random) -> int | None:
 
 def prime_factors(n: int) -> Iterator[tuple[int, int]]:
     """Yield (p, e) with p**e exactly dividing |n| for every prime p of |n|,
-    p ascending: first the primes <= FACTOR_TRIAL_BOUND, then the
-    Pollard-Brent split of the cofactor they leave, sorted.
+    p ascending: first the primes <= TRIAL_BOUND, then the Pollard-Brent
+    split of the cofactor they leave, sorted.
 
     Each trial prime is the smallest prime divisor of the current cofactor m
     up to isqrt(m), from _smallest_prime_divisors; the walk stops when there
@@ -385,19 +384,19 @@ def prime_factors(n: int) -> Iterator[tuple[int, int]]:
     if n == 0:
         raise ValueError("cannot factorize 0")
     m = abs(n)
-    primes = small_primes(FACTOR_TRIAL_BOUND)
-    while (p := _smallest_prime_divisors([m], primes, math.isqrt(m))[0]) is not None:
+    while (p := _smallest_prime_divisors([m], math.isqrt(m))[0]) is not None:
         e = 0
         while m % p == 0:
             m //= p
             e += 1
         yield p, e
+    last = small_primes(TRIAL_BOUND)[-1]
     counts: dict[int, int] = {}
     rng = random.Random(0xFAC70)
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()
-        if m < primes[-1] ** 2 or is_prime(m):
+        if m < last**2 or is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
         d = _pollard_brent(m, rng)

@@ -13,7 +13,6 @@ from compseq import arith, verifier
 from compseq.arith import (
     CHUNK_PRIMES,
     DIGIT_BASE,
-    FACTOR_TRIAL_BOUND,
     GROUP_CHUNKS,
     MR_DETERMINISTIC_BASES,
     MR_DETERMINISTIC_BOUND,
@@ -155,8 +154,16 @@ class TestWitness:
         assert compositeness_witness(2**89 - 1) == NotComposite() == plain_loop_witness(2**89 - 1, TRIAL_BOUND)
 
     def test_trial_bound_decides_between_divisor_and_base_2(self, monkeypatch):
-        n = 1000003 * (2**89 - 1)
-        for trial_bound, expected in ((TRIAL_BOUND, MillerRabinBase(2)), (2 * 10**6, Divisor(1000003))):
+        # The last prime <= TRIAL_BOUND is a divisor; the primes past it, up
+        # to the last one <= 10**6 and beyond, leave a base unless the bound
+        # is raised past them.
+        for p, trial_bound, expected in (
+            (99991, TRIAL_BOUND, Divisor(99991)),
+            (999983, TRIAL_BOUND, MillerRabinBase(2)),
+            (1000003, TRIAL_BOUND, MillerRabinBase(2)),
+            (1000003, 2 * 10**6, Divisor(1000003)),
+        ):
+            n = p * (2**89 - 1)
             monkeypatch.setattr(arith, "TRIAL_BOUND", trial_bound)
             assert compositeness_witness(n) == expected == plain_loop_witness(n, trial_bound)
 
@@ -207,17 +214,23 @@ WORD_BLOCKS = word_blocks()
 WORD_ENDS = list(itertools.accumulate(map(len, WORD_BLOCKS)))
 # The first and last prime of every word-size block, and the first past them.
 WORD_EDGE_PRIMES = {p for block in WORD_BLOCKS for p in (block[0], block[-1])} | {sympy.nextprime(WORD_BLOCK_BOUND)}
+# The trial bounds the witness is checked at: TRIAL_BOUND and one on each side.
+TRIAL_BOUNDS = (10**4, TRIAL_BOUND, 10**6)
 # Primes on either side of each word-size block's end (23/29 to 97/101), of a
 # chunk boundary of the gcd table (and of the 128th prime), of the is_prime
-# screen, and of both trial bounds below; and of the first, second and last
-# group of chunks the scan to 10**6 takes.
+# screen, and of each trial bound; and of the first, second and last group of
+# chunks the scan to each trial bound takes.
 SCREEN_PRIMES, GROUP_PRIMES = SCREEN_CHUNKS * CHUNK_PRIMES, GROUP_CHUNKS * CHUNK_PRIMES
-GROUP_STARTS = [SCREEN_PRIMES + j * GROUP_PRIMES for j in (0, 1, (sympy.primepi(10**6) - SCREEN_PRIMES) // GROUP_PRIMES)]
+GROUP_STARTS = {
+    SCREEN_PRIMES + j * GROUP_PRIMES
+    for bound in TRIAL_BOUNDS[1:]
+    for j in (0, 1, (sympy.primepi(bound) - SCREEN_PRIMES) // GROUP_PRIMES)
+}
 EDGE_PRIMES = sorted(
     WORD_EDGE_PRIMES
     | {sympy.prime(i) for i in (128, 129, CHUNK_PRIMES, CHUNK_PRIMES + 1, 2 * CHUNK_PRIMES, 2 * CHUNK_PRIMES + 1)}
     | {sympy.prime(i) for lo in GROUP_STARTS for i in (lo, lo + 1)}
-    | {f(bound) for bound in (SCREEN_BOUND, 10**4, 10**6) for f in (sympy.prevprime, sympy.nextprime)}
+    | {f(bound) for bound in (SCREEN_BOUND, *TRIAL_BOUNDS) for f in (sympy.prevprime, sympy.nextprime)}
 )
 # Cofactors that lift p * q above MR_DETERMINISTIC_BOUND for every p.
 LARGE_PRIMES = (sympy.nextprime(MR_DETERMINISTIC_BOUND), 2**89 - 1, sympy.nextprime(10**30))
@@ -228,8 +241,13 @@ LARGE_PRIMES = (sympy.nextprime(MR_DETERMINISTIC_BOUND), 2**89 - 1, sympy.nextpr
     p=st.sampled_from(EDGE_PRIMES),
     k=st.integers(min_value=1, max_value=10**40),
     q=st.sampled_from(LARGE_PRIMES),
-    trial_bound=st.sampled_from((10**4, 10**6)),
+    trial_bound=st.sampled_from(TRIAL_BOUNDS),
 )
+# 10007, the first prime past 10**4, lies in the group that a walk to 10**6
+# takes whole and a walk to 10**4 cuts short: the walk to 10**4 must not read
+# that group's block as the walk to 10**6 left it.
+@example(p=10007, k=1, q=LARGE_PRIMES[0], trial_bound=10**6)
+@example(p=10007, k=1, q=LARGE_PRIMES[0], trial_bound=10**4)
 def test_witness_matches_plain_loop_at_chunk_and_bound_edges(p, k, q, trial_bound):
     # p * k: p may or may not be the smallest factor; p * nextprime(p): p is
     # the largest prime <= isqrt(m); p * p: p == isqrt(m); p * q and p * q * k:
@@ -255,7 +273,7 @@ def test_a_factor_below_100_costs_only_word_size_gcds(monkeypatch, p):
         return math.gcd(x, y)
 
     monkeypatch.setattr(arith, "math", SimpleNamespace(**{**vars(math), "gcd": gcd}))
-    assert arith._smallest_prime_divisors([m], small_primes(TRIAL_BOUND), TRIAL_BOUND) == [p]
+    assert arith._smallest_prime_divisors([m], TRIAL_BOUND) == [p]
     blocks = WORD_BLOCKS[: next(i for i, block in enumerate(WORD_BLOCKS) if p in block) + 1]
     assert seen == [math.prod(block) for block in blocks]
     assert max(seen) < DIGIT_BASE
@@ -263,8 +281,8 @@ def test_a_factor_below_100_costs_only_word_size_gcds(monkeypatch, p):
 
 def test_screen_is_word_size_blocks_then_whole_chunks():
     # The primes below 100 come in products below one CPython digit; then the
-    # screen to SCREEN_BOUND takes whole chunks of the gcd table, so it needs
-    # no partial product.
+    # screen to SCREEN_BOUND takes whole chunks of the gcd table of the trial
+    # primes, so it needs no partial product.
     if DIGIT_BASE == 2**30:
         assert WORD_BLOCKS == [
             [2, 3, 5, 7, 11, 13, 17, 19, 23],
@@ -276,21 +294,21 @@ def test_screen_is_word_size_blocks_then_whole_chunks():
     assert SCREEN_CHUNKS * CHUNK_PRIMES == len(small_primes(SCREEN_BOUND)) == 564
     ends, lo = [], 0
     while lo < 564:
-        lo = arith._block(small_primes(SCREEN_BOUND), lo)[0]
+        lo = arith._block(small_primes(TRIAL_BOUND), lo)[0]
         ends.append(lo)
     assert ends == [*WORD_ENDS, *range(CHUNK_PRIMES, 564 + 1, CHUNK_PRIMES)]
 
 
-# Primes past trial division (10**6), below and above MR_DETERMINISTIC_BOUND
-# as products of two.
-PAST_TRIAL_PRIMES = (1000003, 1000033, sympy.nextprime(10**12), *LARGE_PRIMES)
+# Primes past trial division (TRIAL_BOUND and 10**6), below and above
+# MR_DETERMINISTIC_BOUND as products of two.
+PAST_TRIAL_PRIMES = (sympy.nextprime(TRIAL_BOUND), 1000003, 1000033, sympy.nextprime(10**12), *LARGE_PRIMES)
 # The last prime of the screen and the first one past it.
 SCREEN_EDGE = (sympy.prevprime(SCREEN_BOUND), sympy.nextprime(SCREEN_BOUND))
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    small=st.sampled_from((1, 2, 97, 1009, *SCREEN_EDGE, 999983)),
+    small=st.sampled_from((1, 2, 97, 1009, *SCREEN_EDGE, sympy.prevprime(TRIAL_BOUND), 999983)),
     p=st.sampled_from(PAST_TRIAL_PRIMES),
     q=st.sampled_from(PAST_TRIAL_PRIMES),
     sign=st.sampled_from((1, -1)),
@@ -447,7 +465,7 @@ class TestFactorize:
             list(prime_factors(0))
 
 
-LAST_TRIAL_PRIME = sympy.prevprime(FACTOR_TRIAL_BOUND)
+LAST_TRIAL_PRIME = sympy.prevprime(TRIAL_BOUND)
 # The primes on both sides of each block edge of the walk: the end of each
 # word-size block (23/29 to 97/101), the first chunk edge, the end of the
 # screen and the end of the first group; then the last trial prime and the
@@ -461,11 +479,11 @@ BLOCK_EDGE_PRIMES = [
         (SCREEN_CHUNKS + GROUP_CHUNKS) * CHUNK_PRIMES,
     )
     for i in (0, 1)
-] + [LAST_TRIAL_PRIME, sympy.nextprime(FACTOR_TRIAL_BOUND)]
+] + [LAST_TRIAL_PRIME, sympy.nextprime(TRIAL_BOUND)]
 # Those, and primes on both sides of the root of the trial bound.
 TRIAL_EDGE_PRIMES = sorted(
-    {2, 3, *BLOCK_EDGE_PRIMES, sympy.nextprime(FACTOR_TRIAL_BOUND**2)}
-    | {f(math.isqrt(FACTOR_TRIAL_BOUND)) for f in (sympy.prevprime, sympy.nextprime)}
+    {2, 3, *BLOCK_EDGE_PRIMES, sympy.nextprime(TRIAL_BOUND**2)}
+    | {f(math.isqrt(TRIAL_BOUND)) for f in (sympy.prevprime, sympy.nextprime)}
 )
 
 
@@ -475,10 +493,10 @@ def assert_factorization(n):
 
 
 class TestTrialDivision:
-    """prime_factors's walk over the primes up to FACTOR_TRIAL_BOUND."""
+    """prime_factors's walk over the primes up to TRIAL_BOUND."""
 
     def test_edges(self):
-        q = sympy.nextprime(FACTOR_TRIAL_BOUND)
+        q = sympy.nextprime(TRIAL_BOUND)
         assert list(prime_factors(-2 * LAST_TRIAL_PRIME)) == [(2, 1), (LAST_TRIAL_PRIME, 1)]
         assert list(prime_factors(LAST_TRIAL_PRIME**2)) == [(LAST_TRIAL_PRIME, 2)]
         assert list(prime_factors(LAST_TRIAL_PRIME * q)) == [(LAST_TRIAL_PRIME, 1), (q, 1)]
@@ -556,7 +574,7 @@ class TestPrimeFactors:
             return is_prime(m)
 
         monkeypatch.setattr(arith, "is_prime", spy)
-        q1 = sympy.nextprime(FACTOR_TRIAL_BOUND)
+        q1 = sympy.nextprime(TRIAL_BOUND)
         q2, q3 = sympy.nextprime(q1), sympy.nextprime(10**12)
         assert list(prime_factors(q1 * q2**2 * q3)) == [(q1, 1), (q2, 2), (q3, 1)]
         assert tested and min(tested) >= LAST_TRIAL_PRIME**2
@@ -667,3 +685,5 @@ class TestUnprintableIntegers:
 
 def test_small_primes_sieve():
     assert small_primes(100) == [p for p in range(101) if trial_division_is_prime(p)]
+    for limit in (0, 1, 2, 3, SCREEN_BOUND, TRIAL_BOUND):
+        assert small_primes(limit) == list(sympy.primerange(limit + 1)), limit

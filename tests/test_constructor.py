@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from compseq import arith
 from compseq import constructor as C
-from compseq.arith import FACTOR_TRIAL_BOUND, EffortExceeded, factorize, is_prime
+from compseq.arith import TRIAL_BOUND, EffortExceeded, factorize, is_prime
 from compseq.recurrence import RecurrenceParams, SeedPair, terms
 from compseq.verifier import verify_construction
 from oracles import closed_form_degenerate, is_square, square_gap_holds
@@ -279,7 +279,7 @@ class TestPickersMatchFullFactorization:
         picked, cofactors = picker_cofactors(monkeypatch, pick, a)
         assert picked == ref(a)
         assert set(cofactors) - {abs(a)}
-        assert any(p > FACTOR_TRIAL_BOUND for p in picked[1:])
+        assert any(p > TRIAL_BOUND for p in picked[1:])
 
     def test_small_coefficients(self):
         for a in range(-300, 301):

@@ -5,6 +5,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from compseq import arith
+from compseq.arith import TRIAL_BOUND, Divisor, small_primes
 from compseq.lucas import LucasContext, composite_scan, conjecture_scan, rank_of_apparition
 from compseq.recurrence import RecurrenceParams
 from oracles import check_divisibility
@@ -104,8 +106,6 @@ class TestRank:
             rank_of_apparition(ctx_of(1, 1), 8)
 
     def test_rank_characterizes_divisibility_unit_b(self):
-        from compseq.arith import small_primes
-
         for a in (1, 3, -4, 9):
             for b in (-1, 1, -2, 2, -3, 3, 5):
                 ctx = ctx_of(a, b)
@@ -126,6 +126,16 @@ class TestScans:
         by_n = {e.index: e for e in report.entries}
         assert by_n[3].term == 8 and by_n[3].witness.d == 2
         assert by_n[4].term == 21 and by_n[4].witness.d == 3
+
+    def test_scan_asks_only_for_the_trial_primes(self, monkeypatch):
+        # u_43 has no prime <= 4096, so its witness walks past the screen to
+        # 6709; the scan asks for one list of primes, the trial primes up to
+        # TRIAL_BOUND, and no other.
+        sieved = []
+        monkeypatch.setattr(arith, "small_primes", lambda limit: sieved.append(limit) or small_primes(limit))
+        report = composite_scan(3, 300)
+        assert report.entries[43 - 3].witness == Divisor(6709)
+        assert sieved and set(sieved) == {TRIAL_BOUND}
 
     def test_negative_a_scan(self):
         assert composite_scan(-5, 30).all_composite

@@ -1,6 +1,5 @@
 import dataclasses
 import decimal
-import functools
 import json
 import math
 import sys
@@ -14,6 +13,7 @@ from compseq import constructor as C
 from compseq.arith import (
     MR_DETERMINISTIC_BOUND,
     SCREEN_BOUND,
+    TRIAL_BOUND,
     Divisor,
     MillerRabinBase,
     NotComposite,
@@ -35,16 +35,6 @@ from compseq.verifier import (
 
 # 1000003 and nextprime(MR_DETERMINISTIC_BOUND): two primes past trial division.
 BIG_P, BIG_Q = 1000003, 3317044064679887385962123
-
-
-@functools.cache
-def product_of_primes_to_a_million():
-    """math.prod(small_primes(10**6)), built once by pairwise products, which
-    take a fraction of the sequential product's time."""
-    xs = small_primes(10**6)
-    while len(xs) > 1:
-        xs = [math.prod(xs[i : i + 2]) for i in range(0, len(xs), 2)]
-    return xs[0]
 
 
 class TestVerify:
@@ -79,9 +69,9 @@ class TestVerify:
         self, monkeypatch, params, seed, n_terms, tested
     ):
         # A count, not a timing: above MR_DETERMINISTIC_BOUND one strong test
-        # (base 2) per term that no prime <= 10**6 divides and whose gcd with
-        # x_{n-2} (0 for n < 2) is 1 or the whole term, and none on terms
-        # that trial division or that gcd certifies.
+        # (base 2) per term that no prime <= TRIAL_BOUND divides and whose
+        # gcd with x_{n-2} (0 for n < 2) is 1 or the whole term, and none on
+        # terms that trial division or that gcd certifies.
         calls = []
 
         def counting(n, base):
@@ -90,7 +80,7 @@ class TestVerify:
 
         monkeypatch.setattr(arith, "_strong_probable_prime", counting)
         report = verify(params, seed, n_terms)
-        small = product_of_primes_to_a_million()
+        small = math.prod(small_primes(TRIAL_BOUND))
         xs = [abs(x) for x in terms(params, seed, n_terms)]
         expected = sum(
             x >= MR_DETERMINISTIC_BOUND and math.gcd(x, small) == 1 and math.gcd(x, xs[n - 2] if n >= 2 else 0) in (1, x)
@@ -104,15 +94,15 @@ class TestVerify:
         # x_n = b*x_{n-2} (mod a), so with a | x_0 every even term shares the
         # prime |a| > 10**6 with the one two before it.  A term that no prime
         # <= SCREEN_BOUND divides gets Divisor(|a|); every other term gets its
-        # hintless witness, a prime <= SCREEN_BOUND.  A count, not a timing:
-        # verify never asks for the primes up to TRIAL_BOUND.
+        # hintless witness, a prime <= SCREEN_BOUND.  verify asks for one list
+        # of primes, the trial primes up to TRIAL_BOUND, and no other.
         params, seed = RecurrenceParams(a, 1), C.construct(a, 1).seed
         n_terms = next(n for n, x in enumerate(terms(params, seed, 200)) if abs(x).bit_length() >= 2048)
         sieved = []
         with monkeypatch.context() as mp:
             mp.setattr(arith, "small_primes", lambda limit: sieved.append(limit) or small_primes(limit))
             report = verify(params, seed, n_terms)
-        assert sieved and set(sieved) == {SCREEN_BOUND}
+        assert sieved and set(sieved) == {TRIAL_BOUND}
         assert report.verdict
         xs = terms(params, seed, n_terms)
         screen = small_primes(SCREEN_BOUND)
@@ -136,10 +126,10 @@ class TestVerify:
         walked = []
         walk = arith._smallest_prime_divisors
 
-        def counting(ms, primes, limit):
-            if primes is small_primes(SCREEN_BOUND):
+        def counting(ms, limit):
+            if limit == SCREEN_BOUND:
                 walked.extend(map(abs, ms))
-            return walk(ms, primes, limit)
+            return walk(ms, limit)
 
         monkeypatch.setattr(arith, "_smallest_prime_divisors", counting)
         report = verify(params, seed, n_terms)
@@ -148,10 +138,21 @@ class TestVerify:
         assert sum(isinstance(c.witness, Divisor) and c.witness.d > SCREEN_BOUND for c in report.certificates) > 0
         assert all(walked.count(x) == 1 for x in large)
 
+    def test_a_term_that_reaches_the_walk_asks_only_for_the_trial_primes(self, monkeypatch):
+        # x_0 = P * Q has no prime <= TRIAL_BOUND and no x_{-2}, so its
+        # witness walks every trial prime before its base-2 test; verify asks
+        # for one list of primes, the trial primes up to TRIAL_BOUND, and no
+        # other.
+        sieved = []
+        monkeypatch.setattr(arith, "small_primes", lambda limit: sieved.append(limit) or small_primes(limit))
+        report = verify(RecurrenceParams(0, 1), SeedPair(BIG_P * BIG_Q, 15), 4)
+        assert report.certificates[0].witness == MillerRabinBase(2)
+        assert sieved and set(sieved) == {TRIAL_BOUND}
+
     def test_the_first_two_terms_have_no_x_n_minus_2(self):
-        # x_0 = P * Q has no prime <= 10**6, and x_4 = x_0 (mod P) shares P
-        # with it; x_0 still gets its base-2 witness, because no x_{-2}
-        # exists (the list's x_4 sits at index -2).
+        # x_0 = P * Q has no prime <= TRIAL_BOUND, and x_4 = x_0 (mod P)
+        # shares P with it; x_0 still gets its base-2 witness, because no
+        # x_{-2} exists (the list's x_4 sits at index -2).
         params, seed = RecurrenceParams(BIG_P, 1), SeedPair(BIG_P * BIG_Q, 15)
         xs = terms(params, seed, 5)
         assert 1 < math.gcd(xs[0], xs[-2]) < xs[0]
