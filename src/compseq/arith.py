@@ -267,7 +267,7 @@ def make_certificates(
     """One CompositenessCertificate per (index, term, witness), in order.
     Each is made by tuple.__new__ from C: the NamedTuple's own __new__ is
     Python code, one interpreter frame per record."""
-    return tuple(map(functools.partial(tuple.__new__, CompositenessCertificate), zip(indices, terms, witnesses)))
+    return tuple(map(tuple.__new__, repeat(CompositenessCertificate), zip(indices, terms, witnesses)))
 
 
 def compositeness_witness(n: int, neighbour: int = 0) -> Witness:

@@ -183,10 +183,15 @@ def verify(
 ) -> VerificationReport:
     """Full audit: positivity, coprimality, per-term compositeness certificates,
     and the divisor-rule audit for every strategy whose construction states
-    rules.  A rule's divisor is the preferred certificate for each term.
-    Every other term x_n gets compositeness_witness(x_n, x_{n-2}), with 0 in
-    place of x_{n-2} for n < 2.  The terms with |x_n| >= MR_DETERMINISTIC_BOUND
-    take its two steps apart: one arith.screen call for all of them, then
+    rules.  A rule Rule(d, s, k) holds if d > 1 divides x_s and x_{s+k} (two
+    divisions: by the stride identity below, d then divides its whole class)
+    and no claimed term is 0, d or -d (membership tests on the claimed slice).
+    A rule that fails either check is audited term by term, with one failure
+    per claimed term that d does not properly divide.  The divisor of the
+    first rule that properly divides x_n is its certificate.  Every other
+    term x_n gets compositeness_witness(x_n, x_{n-2}), with 0 in place of
+    x_{n-2} for n < 2.  The terms with |x_n| >= MR_DETERMINISTIC_BOUND take
+    its two steps apart: one arith.screen call for all of them, then
     witness_past_screen for each term the screen leaves."""
     failures: list[str] = []
     coprime_ok = math.gcd(seed.x0, seed.x1) == 1
@@ -205,19 +210,31 @@ def verify(
     if rules:
         before = len(failures)
         claimed = bytearray(size)
+        writes = []  # (indices, Divisor), written last rule first: the first rule wins
         for rule in rules:
             d, start, step = rule
             if start < 0 or step < 0:
                 failures.append(f"{rule} needs start >= 0 and step >= 0")
                 continue
             witness = Divisor(d)
-            for n in range(start, size, step or size):
-                claimed[n] = 1
+            ns = range(start, size, step or size)
+            column = xs[start :: ns.step]
+            claimed[start :: ns.step] = b"\x01" * len(ns)
+            # x_{n+2k} = V_k*x_{n+k} - (-b)^k*x_n, V_k the trace of [[a, b], [1, 0]]^k
+            # (Cayley-Hamilton), so d | x_s, x_{s+k} gives d | the whole column;
+            # a multiple of d > 1 is a proper one unless it is 0 or +-d.
+            if column and 1 < d and not (column[0] % d or len(column) > 1 and column[1] % d):
+                if 0 not in column and d not in column and -d not in column:
+                    writes.append((ns, witness))
+                    continue
+            for n in ns:
                 t = abs(xs[n])
                 if not (1 < d < t and t % d == 0):
                     failures.append(f"claimed {int_text(d)} is not a proper divisor of x_{n}")
-                elif witnesses[n] is None:
-                    witnesses[n] = witness
+                else:
+                    writes.append((range(n, n + 1), witness))
+        for ns, witness in reversed(writes):
+            witnesses[ns.start : ns.stop : ns.step] = [witness] * len(ns)
         if not all(claimed):
             failures += [f"index {n} not claimed by any rule" for n in range(size) if not claimed[n]]
         covering_law_ok = len(failures) == before

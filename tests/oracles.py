@@ -4,7 +4,7 @@ calls them."""
 
 import math
 
-from compseq.arith import EffortExceeded, factorize
+from compseq.arith import Divisor, EffortExceeded, factorize, int_text
 from compseq.covering import _TEMPLATES, Rule, validate_triples
 from compseq.lucas import LucasContext
 from compseq.recurrence import RecurrenceParams, SeedPair, terms
@@ -76,6 +76,32 @@ def check_divisibility(ctx: LucasContext, m: int, n: int) -> bool:
     if um == 0:
         return un == 0
     return un % um == 0
+
+
+def reference_rule_audit(xs: list[int], rules) -> tuple[list[str], list, bytearray]:
+    """The divisor-rule audit term by term, as verifier.verify made it before
+    it audited a rule from two terms: one abs and one % per claimed term.
+
+    Returns the failure texts in order (without the unclaimed indices), the
+    Divisor witness of each term (the first rule that properly divides it,
+    else None) and which indices some rule claims."""
+    size = len(xs)
+    failures: list[str] = []
+    witnesses: list = [None] * size
+    claimed = bytearray(size)
+    for rule in rules:
+        d, start, step = rule
+        if start < 0 or step < 0:
+            failures.append(f"{rule} needs start >= 0 and step >= 0")
+            continue
+        for n in range(start, size, step or size):
+            claimed[n] = 1
+            t = abs(xs[n])
+            if not (1 < d < t and t % d == 0):
+                failures.append(f"claimed {int_text(d)} is not a proper divisor of x_{n}")
+            elif witnesses[n] is None:
+                witnesses[n] = Divisor(d)
+    return failures, witnesses, claimed
 
 
 def eager_search_triples(params: RecurrenceParams) -> tuple[Rule, ...] | None:

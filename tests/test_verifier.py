@@ -5,8 +5,9 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import reference_rule_audit
 
 from compseq import arith, recurrence, verifier
 from compseq import constructor as C
@@ -293,6 +294,144 @@ class TestRuleAudit:
         report = verify_construction(broken, 50)
         assert report.covering_law_ok is False
         assert not report.verdict
+
+
+class CountingInt(int):
+    """An int that counts the abs and % taken of it."""
+
+    ops = 0
+
+    def __abs__(self):
+        CountingInt.ops += 1
+        return int.__abs__(self)
+
+    def __mod__(self, other):
+        CountingInt.ops += 1
+        return int.__mod__(self, other)
+
+
+def assert_audit_matches_reference(params, seed, n, construction):
+    """verify agrees with reference_rule_audit, the audit term by term: the
+    failure texts in order, every certificate, and covering_law_ok."""
+    report = verify(params, seed, n, construction)
+    xs = terms(params, seed, n)
+    rules = construction.rules if construction is not None else ()
+    rule_failures, divisors, claimed = reference_rule_audit(xs, rules)
+    failures = []
+    if math.gcd(seed.x0, seed.x1) != 1:
+        failures.append(f"gcd(x0, x1) = {math.gcd(seed.x0, seed.x1)} != 1")
+    failures += ["x0 not positive"] * (seed.x0 <= 0) + ["x1 not positive"] * (seed.x1 <= 0)
+    failures += rule_failures
+    if rules:
+        failures += [f"index {i} not claimed by any rule" for i in range(n + 1) if not claimed[i]]
+    certificates = []
+    for i, x in enumerate(xs):
+        witness = divisors[i]
+        if witness is None:
+            witness = arith.compositeness_witness(x, xs[i - 2] if i >= 2 else 0)
+        if isinstance(witness, NotComposite):
+            failures.append(f"|x_{i}| = {abs(x)} is not composite")
+        certificates.append((i, x, witness))
+    assert list(report.failures) == failures
+    assert list(report.certificates) == certificates
+    expected_law = (not rule_failures and all(claimed)) if rules else None
+    assert report.covering_law_ok is expected_law
+    assert report.verdict == (not failures)
+
+
+def edit_rule(rule, edit, n):
+    """One of the rule edits the reference test draws."""
+    d, start, step = rule
+    return {
+        "keep": rule,
+        "d+1": Rule(d + 1, start, step),
+        "d-1": Rule(d - 1, start, step),
+        "d*k": Rule(d * (step + 2), start, step),
+        "-d": Rule(-d, start, step),
+        "d=0": Rule(0, start, step),
+        "d=1": Rule(1, start, step),
+        "start+1": Rule(d, start + 1, step),
+        "start past N": Rule(d, n + 1 + start, step),
+        "step*2": Rule(d, start, 2 * step),
+        "step=0": Rule(d, start, 0),
+        "start<0": Rule(d, -1 - start, step),
+        "step<0": Rule(d, start, -1 - step),
+    }[edit]
+
+
+RULE_EDITS = ("keep", "d+1", "d-1", "d*k", "-d", "d=0", "d=1", "start+1", "start past N")
+RULE_EDITS += ("step*2", "step=0", "start<0", "step<0")
+
+
+class TestRuleAuditAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(-12, 12),
+        st.integers(-12, 12).filter(bool),
+        st.none() | st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
+        st.integers(0, 80),
+        st.lists(st.tuples(st.integers(0, 9), st.sampled_from(RULE_EDITS)), max_size=3),
+        st.booleans(),
+        st.lists(st.integers(0, 9), max_size=2),
+    )
+    def test_verify_matches_the_audit_term_by_term(self, a, b, seeds, n, edits, reverse, duplicates):
+        assume((abs(a), b) != (2, -1))
+        construction = C.construct(a, b)
+        rules = list(construction.rules)
+        for at, edit in edits:
+            if rules:
+                rules[at % len(rules)] = edit_rule(rules[at % len(rules)], edit, n)
+        rules += [rules[at % len(rules)] for at in duplicates if rules]
+        if reverse:
+            rules.reverse()
+        construction = dataclasses.replace(construction, rules=tuple(rules))
+        seed = SeedPair(*seeds) if seeds is not None else construction.seed
+        assert_audit_matches_reference(construction.params, seed, n, construction)
+
+    @pytest.mark.parametrize(
+        "a, b, seed, rules",
+        [
+            # 3 | x_7 = 21 but not x_8 = 34 (x_n = F_{n+1}): x_s alone proves nothing.
+            (1, 1, (1, 1), ((3, 7, 1),)),
+            # 3 divides x_3, x_7, x_11, ... but x_3 = 3 is not a proper multiple.
+            (1, 1, (1, 1), ((3, 3, 4), (2, 0, 1))),
+            # x_n = 0 for every even n, 3 | x_n = +-6 for every odd n.
+            (0, -1, (0, 6), ((3, 0, 2), (3, 1, 2))),
+            # A step-0 rule, and a class with one term inside the horizon.
+            (1, 1, (1, 1), ((3, 7, 0), (2, 11, 20), (4, 5, 50))),
+        ],
+        ids=["x_s-only", "term-equals-d", "zero-terms", "one-term"],
+    )
+    def test_rules_that_fail_past_their_first_terms(self, a, b, seed, rules):
+        params = RecurrenceParams(a, b)
+        construction = C.ConstructionResult(params, SeedPair(*seed), "hand", tuple(Rule(*r) for r in rules))
+        for n in (0, 3, 7, 12, 40):
+            assert_audit_matches_reference(params, construction.seed, n, construction)
+
+
+class TestRuleAuditCost:
+    @pytest.mark.parametrize("n_terms", [200, 2000])
+    def test_a_rule_that_holds_takes_at_most_two_divisions(self, monkeypatch, n_terms):
+        # A count: d | x_s and d | x_{s+step} prove the rest of the class, so
+        # a rule that holds costs at most two abs or % on its terms, however
+        # many terms it claims.
+        monkeypatch.setattr(verifier, "terms", lambda *args: list(map(CountingInt, terms(*args))))
+        for a, b in sorted(STRATEGY_PAIRS.values()):
+            r = C.construct(a, b)
+            CountingInt.ops = 0
+            report = verify_construction(r, n_terms)
+            assert report.verdict and report.covering_law_ok is True
+            assert CountingInt.ops <= 2 * len(r.rules), (a, b)
+
+    def test_the_first_rule_that_divides_a_term_gives_its_witness(self):
+        # Table 1's rules for (2, 1) claim n = 0 mod 6 twice: by (2, 0, 2)
+        # and by (5, 0, 3).
+        r = C.construct(2, 1)
+        assert r.rules[:2] == (Rule(2, 0, 2), Rule(5, 0, 3))
+        for rules, d in ((r.rules, 2), (r.rules[::-1], 5)):
+            report = verify_construction(dataclasses.replace(r, rules=rules), 200)
+            assert report.verdict
+            assert {report.certificates[n].witness for n in range(0, 201, 6)} == {Divisor(d)}
 
 
 class TestReportSerialization:
