@@ -27,42 +27,6 @@ from .constructor import (
     derive_seed_from_triples,
 )
 from .covering import Rule, is_covering, search_triples, validate_triples
-from .lucas import LucasContext, composite_scan, conjecture_scan, rank_of_apparition
+from .lucas import LucasContext, composite_scan, conjecture_scan
 from .recurrence import RecurrenceParams, SeedPair, iter_terms, terms
 from .verifier import VerificationReport, audit_table1, verify, verify_construction
-
-__all__ = [
-    "ConstructionResult",
-    "Divisor",
-    "EffortExceeded",
-    "LucasContext",
-    "MillerRabinBase",
-    "NonCoprimeModuli",
-    "NotComposite",
-    "NotConstructible",
-    "PrimeFactorization",
-    "RecurrenceParams",
-    "Rule",
-    "SearchExhausted",
-    "SeedPair",
-    "Support",
-    "VerificationReport",
-    "audit_table1",
-    "composite_scan",
-    "compositeness_witness",
-    "conjecture_scan",
-    "construct",
-    "coprime_shift",
-    "crt_solve",
-    "derive_seed_from_triples",
-    "factorize",
-    "is_covering",
-    "is_prime",
-    "iter_terms",
-    "rank_of_apparition",
-    "search_triples",
-    "terms",
-    "validate_triples",
-    "verify",
-    "verify_construction",
-]

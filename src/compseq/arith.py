@@ -77,58 +77,45 @@ def small_primes(limit: int) -> list[int]:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    return list(compress(range(limit + 1), flags))
+    odd = compress(range(3, limit + 1, 2), flags[3::2])  # reading only odd flags makes half the ints
+    return [2, *odd] if limit >= 2 else []
 
 
-# (lo, hi) -> product of the primes with indices [lo, hi).  Every small_primes
-# list is a prefix of the same sequence, so one key serves every list; a
-# block is built the first time a walk reaches it.
-_block_products: dict[tuple[int, int], int] = {}
-
-
-def _block_product(primes: list[int], lo: int, hi: int) -> int:
-    """Product of primes[lo:hi], cached; a block longer than one chunk is
-    multiplied out of its chunks' products."""
-    product = _block_products.get((lo, hi))
-    if product is None:
-        if hi - lo > CHUNK_PRIMES:
-            chunks = range(lo, hi, CHUNK_PRIMES)
-            product = math.prod(_block_product(primes, c, min(c + CHUNK_PRIMES, hi)) for c in chunks)
-        else:
-            product = math.prod(primes[lo:hi])
-        _block_products[lo, hi] = product
-    return product
-
-
-# (lo, number of primes in the list) -> (hi, product) of the block at lo.
-_blocks: dict[tuple[int, int], tuple[int, int]] = {}
-
-
-def _block(primes: list[int], lo: int) -> tuple[int, int]:
-    """(hi, product of primes[lo:hi]) for the block of the gcd table that
-    starts at prime index lo, 0 or the end of a block, cut short where the
-    list ends; cached.  The one statement of the table's layout."""
-    block = _blocks.get((lo, len(primes)))
-    if block is None:
+@functools.cache
+def _gcd_table(bound: int) -> tuple[list[int], list[int], list[tuple[int, int, int]]]:
+    """The gcd table of the primes up to bound, built once per bound: the
+    primes, the product of each chunk primes[c : c + CHUNK_PRIMES], and the
+    blocks (lo, hi, product of primes[lo:hi]) in walk order, the last cut
+    short where the list ends.  The one statement of the table's layout."""
+    primes = small_primes(bound)
+    chunks = [math.prod(primes[c : c + CHUNK_PRIMES]) for c in range(0, len(primes), CHUNK_PRIMES)]
+    blocks, lo = [], 0
+    while lo < len(primes):
         if primes[lo] < WORD_BLOCK_BOUND:
             hi = lo + 1
             while primes[hi] < WORD_BLOCK_BOUND and math.prod(primes[lo : hi + 1]) < DIGIT_BASE:
                 hi += 1
         else:
             step = CHUNK_PRIMES if lo < SCREEN_CHUNKS * CHUNK_PRIMES else GROUP_CHUNKS * CHUNK_PRIMES
-            hi = lo - lo % CHUNK_PRIMES + step
-        hi = min(hi, len(primes))
-        block = _blocks[lo, len(primes)] = hi, _block_product(primes, lo, hi)
-    return block
+            hi = min(lo - lo % CHUNK_PRIMES + step, len(primes))
+        if hi - lo > CHUNK_PRIMES:  # a group: its chunks multiplied pairwise, faster than one by one
+            factors = chunks[lo // CHUNK_PRIMES : -(-hi // CHUNK_PRIMES)]
+            while len(factors) > 1:
+                factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+        else:
+            factors = [math.prod(primes[lo:hi])]
+        blocks.append((lo, hi, factors[0]))
+        lo = hi
+    return primes, chunks, blocks
 
 
-def _smallest_prime_in_block(g: int, primes: list[int], lo: int, hi: int) -> int:
+def _smallest_prime_in_block(g: int, primes: list[int], chunks: list[int], lo: int, hi: int) -> int:
     """The smallest p in primes[lo:hi], a block, that divides g > 1, a
     divisor of the block's product.  A block of one chunk or less is scanned
     prime by prime.  A group takes a gcd per chunk until one shares a factor
     with g (the last chunk needs none), and only that chunk is scanned."""
     if hi - lo > CHUNK_PRIMES:
-        while lo + CHUNK_PRIMES < hi and math.gcd(g, _block_product(primes, lo, lo + CHUNK_PRIMES)) == 1:
+        while lo + CHUNK_PRIMES < hi and math.gcd(g, chunks[lo // CHUNK_PRIMES]) == 1:
             lo += CHUNK_PRIMES
         hi = min(lo + CHUNK_PRIMES, hi)
     for p in primes[lo:hi]:
@@ -147,26 +134,26 @@ def _smallest_prime_divisors(ms: list[int], limit: int) -> list[int | None]:
     term that shares a factor with a block leaves the walk with the block's
     smallest prime dividing it; terms with the same gcd share one scan.
     """
-    primes = small_primes(TRIAL_BOUND)
+    primes, chunks, blocks = _gcd_table(TRIAL_BOUND)
     found: list[int | None] = [None] * len(ms)
-    left, xs, lo = range(len(ms)), ms, 0
+    left, xs = range(len(ms)), ms
     smallest: dict[int, int] = {}  # gcd with a block -> its smallest prime
-    while xs and lo < len(primes) and primes[lo] <= limit:
-        hi, product = _block(primes, lo)
+    for lo, hi, product in blocks:
+        if not xs or primes[lo] > limit:
+            break
         gs = list(map(math.gcd, xs, repeat(product)))
         ones = gs.count(1)
         if ones < len(gs):
             for i, g in compress(zip(left, gs), map((1).__ne__, gs)):
                 p = smallest.get(g)
                 if p is None:
-                    p = smallest[g] = _smallest_prime_in_block(g, primes, lo, hi)
+                    p = smallest[g] = _smallest_prime_in_block(g, primes, chunks, lo, hi)
                 if p <= limit:
                     found[i] = p
             if not ones:
                 break
             keep = list(map((1).__eq__, gs))
             left, xs = list(compress(left, keep)), list(compress(xs, keep))
-        lo = hi
     return found
 
 

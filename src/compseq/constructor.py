@@ -36,7 +36,8 @@ VSEMIRNOV_PAIR = (106276436867, 35256392432)
 
 
 class NotConstructible(ValueError):
-    """No composite-only seed exists: b = 0 or (a, b) = (+-2, -1)."""
+    """b = 0, outside the theorem's hypotheses (reason BZero), or (a, b) =
+    (+-2, -1), which has no composite-only seed at all (ExcludedPair)."""
 
     def __init__(self, reason: str):
         self.reason = reason
@@ -162,8 +163,9 @@ def construct(a: int, b: int) -> ConstructionResult:
     """Produce coprime positive seeds with every |x_n| composite, plus the
     strategy and its divisor rules.
 
-    Raises NotConstructible for b = 0 and (a, b) = (+-2, -1), where no such
-    seeds exist.
+    Raises NotConstructible for b = 0, outside the theorem's hypotheses
+    (for a != 0 the seeds (4, 9) still give |x_n| = 9*|a|^(n-1)), and for
+    (a, b) = (+-2, -1), where no such seeds exist.
     """
     params = RecurrenceParams(a, b)
 

@@ -1,8 +1,8 @@
 """Lucas sequences of the first kind: u0 = 0, u1 = 1, u_{n+1} = a*u_n + b*u_{n-1}.
 
-Terms walked from (0, 1), rank of apparition, and two scanners: compositeness
-of |u_n| for b = -1, |a| >= 3, one CompositenessCertificate per term, and
-pairwise coprimality of u_p, u_q at prime indices.
+Terms walked from (0, 1), and two scanners: compositeness of |u_n| for
+b = -1, |a| >= 3, one CompositenessCertificate per term, and pairwise
+coprimality of u_p, u_q at prime indices.
 """
 
 from __future__ import annotations
@@ -11,9 +11,8 @@ import math
 from dataclasses import dataclass
 from itertools import islice
 
-from .arith import (
-    CompositenessCertificate, NotComposite, compositeness_witness, is_prime, make_certificates, small_primes
-)
+from .arith import CompositenessCertificate, NotComposite, compositeness_witness, make_certificates, small_primes
+from .arith import is_prime  # noqa: F401  unused; bench/test_bench.py expects tracing to patch it here
 from .recurrence import RecurrenceParams, SeedPair, iter_terms, terms
 
 LUCAS_SEED = SeedPair(0, 1)
@@ -33,20 +32,6 @@ class LucasContext:
         return next(islice(iter_terms(self.params, LUCAS_SEED), n, None))
 
 
-def rank_of_apparition(ctx: LucasContext, p: int) -> int:
-    """Smallest m >= 1 with p | u_m.
-
-    For p not dividing b the rank divides p - (D/p), or is p when p | D,
-    with D = a^2 + 4b the discriminant; so m <= p + 1 always.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if math.gcd(p, ctx.params.b) != 1:
-        raise ValueError("p must not divide b")
-    us = islice(iter_terms(ctx.params, LUCAS_SEED), 1, p + 2)
-    return next(m for m, t in enumerate(us, 1) if t % p == 0)
-
-
 @dataclass(frozen=True)
 class CompositeScanReport:
     a: int
@@ -56,10 +41,6 @@ class CompositeScanReport:
     @property
     def violations(self) -> tuple[CompositenessCertificate, ...]:
         return tuple(e for e in self.entries if isinstance(e.witness, NotComposite))
-
-    @property
-    def all_composite(self) -> bool:
-        return not self.violations
 
 
 def composite_scan(a: int, n_max: int) -> CompositeScanReport:

@@ -78,6 +78,16 @@ def check_divisibility(ctx: LucasContext, m: int, n: int) -> bool:
     return un % um == 0
 
 
+def rank_of_apparition(ctx: LucasContext, p: int) -> int:
+    """Smallest m >= 1 with p | u_m, for a prime p that does not divide b.
+
+    The rank divides p - (D/p), or is p when p | D, with D = a^2 + 4b the
+    discriminant; so m <= p + 1 always.
+    """
+    us = terms(ctx.params, SeedPair(0, 1), p + 1)
+    return next(m for m in range(1, p + 2) if us[m] % p == 0)
+
+
 def reference_rule_audit(xs: list[int], rules) -> tuple[list[str], list, bytearray]:
     """The divisor-rule audit term by term, as verifier.verify made it before
     it audited a rule from two terms: one abs and one % per claimed term.

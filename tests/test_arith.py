@@ -292,11 +292,25 @@ def test_screen_is_word_size_blocks_then_whole_chunks():
             [89, 97],
         ]
     assert SCREEN_CHUNKS * CHUNK_PRIMES == len(small_primes(SCREEN_BOUND)) == 564
-    ends, lo = [], 0
-    while lo < 564:
-        lo = arith._block(small_primes(TRIAL_BOUND), lo)[0]
-        ends.append(lo)
+    ends = [hi for _, hi, _ in arith._gcd_table(TRIAL_BOUND)[2] if hi <= 564]
     assert ends == [*WORD_ENDS, *range(CHUNK_PRIMES, 564 + 1, CHUNK_PRIMES)]
+
+
+@pytest.mark.parametrize("bound", TRIAL_BOUNDS)
+def test_gcd_table_tiles_the_primes_in_chunk_aligned_blocks(bound):
+    # The blocks cover every trial prime once, in order; a group (a block of
+    # more than one chunk) starts on a chunk edge and ends on one or at the
+    # end of the list; every product is that of its block's primes.
+    primes, chunks, blocks = arith._gcd_table(bound)
+    assert primes == small_primes(bound)
+    assert chunks == [math.prod(primes[c : c + CHUNK_PRIMES]) for c in range(0, len(primes), CHUNK_PRIMES)]
+    assert [lo for lo, _, _ in blocks] == [0, *(hi for _, hi, _ in blocks[:-1])]
+    assert blocks[-1][1] == len(primes)
+    for lo, hi, product in blocks:
+        assert lo < hi
+        if hi - lo > CHUNK_PRIMES:
+            assert lo % CHUNK_PRIMES == 0 and (hi % CHUNK_PRIMES == 0 or hi == len(primes)), (lo, hi)
+        assert product == math.prod(primes[lo:hi]), (lo, hi)
 
 
 # Primes past trial division (TRIAL_BOUND and 10**6), below and above

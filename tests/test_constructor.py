@@ -9,7 +9,7 @@ from compseq import arith
 from compseq import constructor as C
 from compseq.arith import TRIAL_BOUND, EffortExceeded, factorize, is_prime
 from compseq.recurrence import RecurrenceParams, SeedPair, terms
-from compseq.verifier import verify_construction
+from compseq.verifier import verify, verify_construction
 from oracles import closed_form_degenerate, is_square, square_gap_holds
 
 # The paper's 1444-vs-1144 display discrepancy for (a, b) = (9, 1): CRT
@@ -22,6 +22,19 @@ class TestSpecialCases:
         with pytest.raises(C.NotConstructible) as exc:
             C.construct(5, 0)
         assert exc.value.reason == "BZero"
+
+    def test_b_zero_lies_outside_the_theorem_yet_has_seeds(self):
+        # construct declines every b = 0, which the theorem excludes, but for
+        # a != 0 the seeds (4, 9) give |x_n| = 9*|a|^(n-1), all composite;
+        # only (0, 0) has none, since its x_n is 0 from n = 2 on.
+        for a in range(-30, 31):
+            with pytest.raises(C.NotConstructible) as exc:
+                C.construct(a, 0)
+            assert exc.value.reason == "BZero"
+            report = verify(RecurrenceParams(a, 0), SeedPair(4, 9), 60)
+            assert report.verdict == (a != 0), a
+            assert all(abs(c.term) == 9 * abs(a) ** (c.index - 1) for c in report.certificates[1:])
+        assert verify(RecurrenceParams(0, 0), SeedPair(4, 9), 60).failures[0] == "|x_2| = 0 is not composite"
 
     def test_excluded_pairs(self):
         for a in (2, -2):

@@ -102,6 +102,7 @@ class TestVerify:
         sieved = []
         with monkeypatch.context() as mp:
             mp.setattr(arith, "small_primes", lambda limit: sieved.append(limit) or small_primes(limit))
+            arith._gcd_table.cache_clear()  # built once per bound: rebuild it under the patch
             report = verify(params, seed, n_terms)
         assert sieved and set(sieved) == {TRIAL_BOUND}
         assert report.verdict
@@ -146,6 +147,7 @@ class TestVerify:
         # other.
         sieved = []
         monkeypatch.setattr(arith, "small_primes", lambda limit: sieved.append(limit) or small_primes(limit))
+        arith._gcd_table.cache_clear()  # built once per bound: rebuild it under the patch
         report = verify(RecurrenceParams(0, 1), SeedPair(BIG_P * BIG_Q, 15), 4)
         assert report.certificates[0].witness == MillerRabinBase(2)
         assert sieved and set(sieved) == {TRIAL_BOUND}
