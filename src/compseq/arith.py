@@ -354,7 +354,7 @@ def _pollard_brent(n: int, rng: random.Random) -> int | None:
     return None
 
 
-def prime_factors(n: int) -> Iterator[tuple[int, int]]:
+def prime_factors(n: int, split: bool = True) -> Iterator[tuple[int, int]]:
     """Yield (p, e) with p**e exactly dividing |n| for every prime p of |n|,
     p ascending: first the primes <= TRIAL_BOUND, then the Pollard-Brent
     split of the cofactor they leave, sorted.
@@ -366,7 +366,7 @@ def prime_factors(n: int) -> Iterator[tuple[int, int]]:
     trial prime is prime without a test.  Runs lazily: a caller that
     stops inside the trial primes never starts Pollard-Brent.  Raises
     EffortExceeded when a composite cofactor resists splitting within
-    RHO_EFFORT.
+    RHO_EFFORT, or, with split false, before Pollard-Brent would start.
     """
     if n == 0:
         raise ValueError("cannot factorize 0")
@@ -386,7 +386,7 @@ def prime_factors(n: int) -> Iterator[tuple[int, int]]:
         if m < last**2 or is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
-        d = _pollard_brent(m, rng)
+        d = _pollard_brent(m, rng) if split else None
         if d is None:
             raise EffortExceeded(f"could not split {int_text(m)}")
         stack.extend((d, m // d))

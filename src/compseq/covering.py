@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from itertools import tee
+from itertools import product, tee
 from typing import Iterator, NamedTuple, Sequence
 
 from .arith import EffortExceeded, int_text, is_prime, prime_factors
@@ -52,6 +52,34 @@ def is_covering(classes: Sequence[tuple[int, int]]) -> CoveringCheck:
         if not any(j % m == r % m for m, r in classes):
             return CoveringCheck(False, j)
     return CoveringCheck(True, None)
+
+
+def discover_rules(xs: Sequence[int]) -> tuple[Rule, ...]:
+    """Divisor rules read back from the terms xs = x_0..x_N, or () if none.
+
+    By the stride identity (see verifier.verify), g = gcd(x_s, x_{s+m}) > 1
+    divides the whole class s (mod m).  Takes the first 7-smooth L with
+    2L <= len(xs) at which every gcd(x_s, x_{s+L}) > 1, s < L (seeds with a
+    covering whose moduli divide L have one).  For the divisors m of L in
+    increasing order, it claims each class s (mod m) that holds a class mod
+    L still open and has gcd(x_s, x_{s+m}) > 1; a class mod L closed by a
+    smaller m has a gcd > 1 with stride L too, so L is taken when none stays
+    open.  A g may be composite or a whole term; the audit in verify decides.
+    """
+    for L in range(1, len(xs) // 2 + 1):
+        # L is 7-smooth iff L | 210^e, each exponent below L.bit_length().  A
+        # failing L nearly always fails in its first 64 classes.
+        if pow(210, L.bit_length(), L) or any(math.gcd(xs[s], xs[s + L]) < 2 for s in range(min(L, 64))):
+            continue
+        rules, open_ = [], bytearray([1]) * L
+        for m in (m for m in range(1, L + 1) if L % m == 0):
+            for s in range(m):
+                if 1 in open_[s::m] and (g := math.gcd(xs[s], xs[s + m])) > 1:
+                    rules.append(Rule(g, s, m))
+                    open_[s::m] = bytes(L // m)
+        if 1 not in open_:
+            return tuple(rules)
+    return ()
 
 
 def validate_triples(params: RecurrenceParams, rules: Sequence[Rule]) -> tuple[str, ...]:
@@ -102,28 +130,32 @@ def search_triples(params: RecurrenceParams) -> tuple[Rule, ...] | None:
     Walks the class templates in order; for each, assigns distinct primes
     (ascending, from the prime factors of the relevant u_m) to the classes,
     backtracking as needed.  Returns the first rules passing
-    validate_triples, or None.  Each u_m (|u_m| >= 2, as m >= 2) has one
-    prime_factors stream, shared by every template and read only as far as
-    the backtracking asks; an EffortExceeded ends its primes at that point.
+    validate_triples, or None.  Two passes: every template first takes only
+    the primes prime_factors finds without Pollard-Brent, so no template's
+    resisting cofactor holds up a later template, then all of them.  Each
+    u_m (|u_m| >= 2, as m >= 2) has one prime_factors stream per pass,
+    shared by every template and read only as far as the backtracking asks;
+    an EffortExceeded ends its primes at that point.
     """
     if abs(params.b) != 1 or abs(params.a) < 2:
         raise ValueError("requires |b| = 1 and |a| >= 2")
     ctx = LucasContext(params)
-    streams: dict[int, Iterator[tuple[int, int]]] = {}
+    streams: dict[tuple[int, bool], Iterator[tuple[int, int]]] = {}
 
-    def primes_of_u(m: int) -> Iterator[int]:
-        streams[m], reader = tee(streams[m] if m in streams else prime_factors(ctx.u(m)))
+    def primes_of_u(m: int, split: bool) -> Iterator[int]:
+        key = m, split
+        streams[key], reader = tee(streams[key] if key in streams else prime_factors(ctx.u(m), split))
         with suppress(EffortExceeded):
             yield from (p for p, _ in reader)
 
-    for template in _TEMPLATES:
+    for split, template in product((False, True), _TEMPLATES):
         assignment: list[int] = []
 
         def assign(i: int) -> bool:
             if i == len(template):
                 return True
             m, _ = template[i]
-            for p in primes_of_u(m):
+            for p in primes_of_u(m, split):
                 if p in assignment:
                     continue
                 assignment.append(p)

@@ -3,8 +3,10 @@
 Given (a, b, x0, x1, N), certifies coprimality and per-term compositeness,
 and runs the divisor-rule audit for every strategy: each index must be
 claimed by one of the construction's rules, and every claimed divisor must
-properly divide its term.  Certificates prefer that divisor, then the
-witness `arith.compositeness_witness` gives with x_{n-2} as neighbour.
+properly divide its term.  Without stated rules it reads rules from the
+terms (`covering.discover_rules`).  Certificates prefer a rule's divisor,
+then the witness `arith.compositeness_witness` gives with x_{n-2} as
+neighbour.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .arith import (
     screen,
     witness_past_screen,
 )
-from .covering import validate_triples
+from .covering import discover_rules, validate_triples
 from .recurrence import RecurrenceParams, SeedPair, decimal_texts, terms
 
 
@@ -188,10 +190,13 @@ def verify(
     and no claimed term is 0, d or -d (membership tests on the claimed slice).
     A rule that fails either check is audited term by term, with one failure
     per claimed term that d does not properly divide.  The divisor of the
-    first rule that properly divides x_n is its certificate.  Every other
-    term x_n gets compositeness_witness(x_n, x_{n-2}), with 0 in place of
-    x_{n-2} for n < 2.  The terms with |x_n| >= MR_DETERMINISTIC_BOUND take
-    its two steps apart: one arith.screen call for all of them, then
+    first rule that properly divides x_n is its certificate.  Without stated
+    rules, the rules covering.discover_rules reads from x_0..x_N take the
+    same two checks; one that fails either is dropped, and they add no
+    failure and no covering_law_ok.  Every other term x_n gets
+    compositeness_witness(x_n, x_{n-2}), with 0 in place of x_{n-2} for
+    n < 2.  The terms with |x_n| >= MR_DETERMINISTIC_BOUND take its two
+    steps apart: one arith.screen call for all of them, then
     witness_past_screen for each term the screen leaves."""
     failures: list[str] = []
     coprime_ok = math.gcd(seed.x0, seed.x1) == 1
@@ -204,7 +209,8 @@ def verify(
 
     xs = terms(params, seed, n_terms)
     size = len(xs)
-    rules = construction.rules if construction is not None else ()
+    stated = construction.rules if construction is not None else ()
+    rules = stated or discover_rules(xs)
     covering_law_ok = None
     witnesses: list[Witness | None] = [None] * size
     if rules:
@@ -227,6 +233,8 @@ def verify(
                 if 0 not in column and d not in column and -d not in column:
                     writes.append((ns, witness))
                     continue
+            if not stated:  # a discovered rule that fails is dropped
+                continue
             for n in ns:
                 t = abs(xs[n])
                 if not (1 < d < t and t % d == 0):
@@ -235,9 +243,10 @@ def verify(
                     writes.append((range(n, n + 1), witness))
         for ns, witness in reversed(writes):
             witnesses[ns.start : ns.stop : ns.step] = [witness] * len(ns)
-        if not all(claimed):
-            failures += [f"index {n} not claimed by any rule" for n in range(size) if not claimed[n]]
-        covering_law_ok = len(failures) == before
+        if stated:
+            if not all(claimed):
+                failures += [f"index {n} not claimed by any rule" for n in range(size) if not claimed[n]]
+            covering_law_ok = len(failures) == before
     todo = [n for n, witness in enumerate(witnesses) if witness is None]
     big = [n for n in todo if abs(xs[n]) >= MR_DETERMINISTIC_BOUND]
     if big:

@@ -3,8 +3,11 @@ library code, that the tests check the library against; nothing in compseq
 calls them."""
 
 import math
+from itertools import product
 
-from compseq.arith import Divisor, EffortExceeded, factorize, int_text
+import sympy
+
+from compseq.arith import TRIAL_BOUND, Divisor, EffortExceeded, MillerRabinBase, NotComposite, factorize, int_text
 from compseq.covering import _TEMPLATES, Rule, validate_triples
 from compseq.lucas import LucasContext
 from compseq.recurrence import RecurrenceParams, SeedPair, terms
@@ -114,31 +117,79 @@ def reference_rule_audit(xs: list[int], rules) -> tuple[list[str], list, bytearr
     return failures, witnesses, claimed
 
 
+def reference_discover_rules(xs: list[int]) -> tuple[Rule, ...]:
+    """covering.discover_rules by its definition: the first L with no prime
+    factor above 7 and 2L <= len(xs) whose every gcd(x_s, x_{s+L}), s < L,
+    exceeds 1, all L of them computed; then, for the divisors m of L in
+    increasing order, a rule for each class s (mod m) with
+    gcd(x_s, x_{s+m}) > 1 that still holds an unclaimed class mod L."""
+    for L in range(1, len(xs) // 2 + 1):
+        if max(sympy.primefactors(L), default=1) > 7:
+            continue
+        if all(math.gcd(xs[s], xs[s + L]) > 1 for s in range(L)):
+            rules, unclaimed = [], set(range(L))
+            for m in sympy.divisors(L):
+                for s in range(m):
+                    if unclaimed & set(range(s, L, m)) and math.gcd(xs[s], xs[s + m]) > 1:
+                        rules.append(Rule(math.gcd(xs[s], xs[s + m]), s, m))
+                        unclaimed -= set(range(s, L, m))
+            return tuple(rules)
+    return ()
+
+
+def certificate_holds(term: int, witness) -> bool:
+    """True iff the witness proves what it claims about |term|, checked
+    with sympy and a strong test written here: a Divisor properly divides
+    it, a Miller-Rabin base proves it composite, and NotComposite means it
+    is 0, 1 or prime."""
+    n = abs(term)
+    if isinstance(witness, Divisor):
+        return 1 < witness.d < n and n % witness.d == 0
+    if isinstance(witness, NotComposite):
+        return n < 2 or sympy.isprime(n)
+    assert isinstance(witness, MillerRabinBase)
+    if n < 5 or n % 2 == 0 or witness.base % n == 0:
+        return False
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(witness.base, d, n)
+    liar = x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, r))
+    return not liar and not sympy.isprime(n)
+
+
 def eager_search_triples(params: RecurrenceParams) -> tuple[Rule, ...] | None:
-    """covering.search_triples as it was with a complete factorization of
-    every u_m it touches: an EffortExceeded empties that u_m's candidates.
+    """covering.search_triples with a complete factorization of every u_m it
+    touches: an EffortExceeded empties that u_m's candidates.  The first
+    pass takes the primes of u_m up to TRIAL_BOUND, and the one larger prime
+    only when it is the whole cofactor they leave (prime_factors finds no
+    other without Pollard-Brent); the second pass takes every prime.
     Wherever no u_m resists, the lazy search must return the same rules."""
     if abs(params.b) != 1 or abs(params.a) < 2:
         raise ValueError("requires |b| = 1 and |a| >= 2")
     ctx = LucasContext(params)
-    prime_pool: dict[int, tuple[int, ...]] = {}
+    prime_pool: dict[tuple[int, bool], tuple[int, ...]] = {}
 
-    def primes_of_u(m: int) -> tuple[int, ...]:
-        if m not in prime_pool:
+    def primes_of_u(m: int, split: bool) -> tuple[int, ...]:
+        if (m, split) not in prime_pool:
             try:
-                prime_pool[m] = factorize(ctx.u(m)).primes()
+                factors = factorize(ctx.u(m)).factors
             except EffortExceeded:
-                prime_pool[m] = ()
-        return prime_pool[m]
+                factors = ()
+            large = [(p, e) for p, e in factors if p > TRIAL_BOUND]
+            if not split and large and (len(large) > 1 or large[0][1] > 1):
+                factors = factors[: -len(large)]
+            prime_pool[m, split] = tuple(p for p, _ in factors)
+        return prime_pool[m, split]
 
-    for template in _TEMPLATES:
+    for split, template in product((False, True), _TEMPLATES):
         assignment: list[int] = []
 
         def assign(i: int) -> bool:
             if i == len(template):
                 return True
             m, _ = template[i]
-            for p in primes_of_u(m):
+            for p in primes_of_u(m, split):
                 if p in assignment:
                     continue
                 assignment.append(p)

@@ -2,18 +2,22 @@ import math
 import sys
 
 import pytest
-from oracles import eager_search_triples
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import eager_search_triples, reference_discover_rules
 
 from compseq import arith, covering
 from compseq.covering import (
     _TEMPLATES,
     Rule,
+    discover_rules,
     is_covering,
     search_triples,
     validate_triples,
 )
 from compseq.lucas import LucasContext
-from compseq.recurrence import RecurrenceParams
+from compseq import constructor as C
+from compseq.recurrence import RecurrenceParams, SeedPair, terms
 
 
 class TestIsCovering:
@@ -189,18 +193,18 @@ class TestSearchReadsOnDemand:
 
     def test_one_prime_factors_call_per_modulus(self, monkeypatch):
         # (-9, -1) tries the templates mod 2 and mod 4 before the mod 6 one
-        # succeeds, and reads u_2 in all three.
+        # succeeds, and reads u_2 in all three, all in the first pass.
         calls = []
 
-        def counting(n):
-            calls.append(n)
-            return arith.prime_factors(n)
+        def counting(n, split):
+            calls.append((n, split))
+            return arith.prime_factors(n, split)
 
         monkeypatch.setattr(covering, "prime_factors", counting)
         params = RecurrenceParams(-9, -1)
         assert search_triples(params) == triples((3, 2, 0), (2, 6, 1), (5, 6, 3), (13, 6, 5))
         ctx = LucasContext(params)
-        assert calls == [ctx.u(2), ctx.u(4), ctx.u(6)]
+        assert calls == [(ctx.u(2), False), (ctx.u(4), False), (ctx.u(6), False)]
 
     def test_effort_exceeded_ends_the_candidates_where_splitting_gave_up(self, monkeypatch):
         # With every split refused, u_4 = p1 * (p1^2 - 2) gives no prime at
@@ -212,3 +216,77 @@ class TestSearchReadsOnDemand:
         params = RecurrenceParams(p1, -1)
         assert search_triples(params) == triples((p1, 2, 0), (2, 6, 1), (3, 6, 3), (5, 6, 5))
         assert eager_search_triples(params) is None
+
+    def test_every_template_takes_the_trial_primes_before_pollard_brent(self, monkeypatch):
+        # u_4 = p1 * (p1^2 - 2) has no trial prime and a cofactor that resists
+        # splitting; the mod 6 template, next in order, needs only u_2 = p1
+        # (prime) and the trial primes of u_6, so no split is ever tried.
+        def refuse(*args):
+            raise AssertionError("Pollard-Brent ran")
+
+        monkeypatch.setattr(arith, "_pollard_brent", refuse)
+        p1 = 2**61 - 1
+        assert search_triples(RecurrenceParams(p1, -1)) == triples((p1, 2, 0), (2, 6, 1), (3, 6, 3), (5, 6, 5))
+
+    def test_the_second_pass_splits_what_the_first_could_not(self, monkeypatch):
+        # u_2 = -(1000003^2) is a square past the trial primes, so the first
+        # pass has no prime for the class 0 (mod 2) of any template.
+        calls = []
+
+        def counting(n, split):
+            calls.append((n, split))
+            return arith.prime_factors(n, split)
+
+        monkeypatch.setattr(covering, "prime_factors", counting)
+        params = RecurrenceParams(-(1000003**2), 1)
+        assert search_triples(params) == triples((1000003, 2, 0), (3, 4, 1), (19, 4, 3))
+        assert calls == [(params.a, False), (params.a, True), (LucasContext(params).u(4), True)]
+
+
+@st.composite
+def term_lists(draw):
+    """x_0..x_N of small recurrences, from random seeds or from a
+    construction's seeds, moved by one or scaled, so that discovery meets
+    coverings, broken coverings, zero terms and shared factors."""
+    a, b = draw(st.integers(-12, 12)), draw(st.integers(-12, 12))
+    n = draw(st.integers(0, 120))
+    x0, x1 = draw(st.integers(-(10**6), 10**6)), draw(st.integers(-(10**6), 10**6))
+    if b and (abs(a), b) != (2, -1) and draw(st.booleans()):
+        seed = C.construct(a, b).seed
+        x0, x1 = seed.x0, seed.x1 * draw(st.sampled_from((1, 2, 3))) + draw(st.sampled_from((0, 0, 1, -1)))
+    return terms(RecurrenceParams(a, b), SeedPair(x0, x1), n)
+
+
+# 140 terms whose classes mod 70 share a prime at stride 70, all but class
+# 64: 70 passes the first 64 classes and fails past them.  With class 64's
+# prime too (PRIMES[:70] * 2), L = 70 holds.
+PRIMES = arith.small_primes(1000)
+BROKEN_AT_64 = PRIMES[:70] + PRIMES[:64] + PRIMES[100:106]
+
+
+class TestDiscoverRules:
+    @settings(max_examples=200, deadline=None)
+    @given(xs=term_lists())
+    @example(xs=[0] * 9)
+    @example(xs=BROKEN_AT_64)
+    @example(xs=PRIMES[:70] * 2)
+    @example(xs=terms(RecurrenceParams(1, 1), SeedPair(*C.VSEMIRNOV_PAIR), 1439))
+    def test_matches_the_definition(self, xs):
+        assert discover_rules(xs) == reference_discover_rules(xs)
+
+    def test_needs_two_periods_of_terms(self):
+        xs = terms(RecurrenceParams(1, 1), SeedPair(*C.VSEMIRNOV_PAIR), 1439)  # 2 * 720 terms
+        rules = discover_rules(xs)
+        assert math.lcm(*(rule.step for rule in rules)) == 720
+        assert discover_rules(xs[:-1]) == () == discover_rules([])
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.integers(3, 10**5), sign=st.sampled_from((1, -1)), b=st.sampled_from((1, -1)))
+    def test_covering_constructions_give_no_longer_a_period(self, a, sign, b):
+        # A covering whose moduli divide L gives every class mod L a common
+        # prime at stride L, so discovery stops at L = lcm of the steps or before.
+        r = C.construct(sign * a, b)
+        period = math.lcm(*(rule.step for rule in r.rules))
+        xs = terms(r.params, r.seed, max(200, 2 * period))
+        rules = discover_rules(xs)
+        assert rules and math.lcm(*(rule.step for rule in rules)) <= period

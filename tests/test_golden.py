@@ -35,11 +35,12 @@ GOLDEN = [
     ("construct -a 999999999989 -b 1", 0, "3b48726e10a33376f89eae9cb0acc9b668ce0f070c7f3bae4d41a87411b957b7"),
     ("construct -a 999999999989 -b -1", 0, "87250be5452becfa277773e5976dfaaf7d6a2c30532a5264efd18cf302f4bc1c"),
     ("construct -a 2305843009213693951 -b -1", 0, "8ecdf56862e574748c89a05d2379d6c56ca2b187f9418871172358301c549263"),
-    # Hintless, to 3000 terms: the longest report here.
-    (f"verify -a 1 -b 1 --x0 {V0} --x1 {V1} --terms 3000", 0, "50dc50735947ab423bc6d5d47c81de636af14d6634c0d3ac30bfbcb9f17fef51"),
-    # Hintless, with divisors from 2 to 3343 by the screen; at n = 40, 70, 88
-    # and 100, which no prime <= 4096 divides, |a| = gcd(x_n, x_{n-2}).
-    ("verify -a 1174571 -b 1 --x0 25840562 --x1 75172545 --terms 102", 0, "94a98a5034aea166c37d4131acf495dfdc3521235722899133b7b9962d57154f"),
+    # Hintless, to 3000 terms: the longest report here.  Every term is
+    # claimed by one of the 17 rules discovered at L = 720.
+    (f"verify -a 1 -b 1 --x0 {V0} --x1 {V1} --terms 3000", 0, "b51bec2355112c36e9838a06b8421929a7e888222880a675536eebcce17eb92f"),
+    # Hintless: the rules discovered at L = 4, Rule(1174571, 0, 2),
+    # Rule(3, 1, 4) and Rule(17, 3, 4), claim every term.
+    ("verify -a 1174571 -b 1 --x0 25840562 --x1 75172545 --terms 102", 0, "853e434c24b8b3e8c23efaa888269cd25a62d68992a0d09d37092eed953e3001"),
     # Hintless, with Miller-Rabin witnesses at n = 0, 2, 4, 6: x0 = 1000003 *
     # 1000033 and x_n = x_{n-2}, so their common factor is the whole term.
     ("verify -a 0 -b 1 --x0 1000036000099 --x1 15 --terms 6", 0, "8693840dff8f6b61d1a11ee1f862f602c3fd62a92a78f836a166270c7261ddde"),

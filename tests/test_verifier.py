@@ -5,9 +5,9 @@ import math
 import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import reference_rule_audit
+from oracles import certificate_holds, reference_rule_audit
 
 from compseq import arith, recurrence, verifier
 from compseq import constructor as C
@@ -21,7 +21,7 @@ from compseq.arith import (
     _strong_probable_prime,
     small_primes,
 )
-from compseq.covering import Rule
+from compseq.covering import Rule, discover_rules
 from compseq.recurrence import RecurrenceParams, SeedPair, decimal_texts, iter_terms, terms
 from compseq.verifier import (
     CompositenessCertificate,
@@ -96,9 +96,12 @@ class TestVerify:
         # prime |a| > 10**6 with the one two before it.  A term that no prime
         # <= SCREEN_BOUND divides gets Divisor(|a|); every other term gets its
         # hintless witness, a prime <= SCREEN_BOUND.  verify asks for one list
-        # of primes, the trial primes up to TRIAL_BOUND, and no other.
+        # of primes, the trial primes up to TRIAL_BOUND, and no other.  The
+        # covering seeds would give verify rules of their own (Rule(|a|, 0, 2)
+        # among them), so discovery is patched out to reach the screen.
         params, seed = RecurrenceParams(a, 1), C.construct(a, 1).seed
         n_terms = next(n for n, x in enumerate(terms(params, seed, 200)) if abs(x).bit_length() >= 2048)
+        monkeypatch.setattr(verifier, "discover_rules", lambda xs: ())
         sieved = []
         with monkeypatch.context() as mp:
             mp.setattr(arith, "small_primes", lambda limit: sieved.append(limit) or small_primes(limit))
@@ -122,6 +125,8 @@ class TestVerify:
         # A count: verify screens the terms at or above MR_DETERMINISTIC_BOUND
         # in one bulk walk of the screen's primes, and hands those it leaves
         # to witness_past_screen, which walks the screen no second time.
+        # Discovery is patched out, as its rules would claim every term.
+        monkeypatch.setattr(verifier, "discover_rules", lambda xs: ())
         params, seed = RecurrenceParams(1174571, 1), C.construct(1174571, 1).seed
         xs = terms(params, seed, 200)
         n_terms = next(n for n, x in enumerate(xs) if abs(x).bit_length() >= 2048)
@@ -254,6 +259,109 @@ STRATEGY_PAIRS = {
     C.PERIODIC3: (-1, -1),
     C.PERIODIC6: (1, -1),
 }
+
+
+# Published seed pairs for (a, b) = (1, 1), the horizon at which each is
+# verified, and the period L of the rules discovery reads from its terms
+# (None: no covering is found, so its pass holds only up to the horizon).
+PUBLISHED_PAIRS = {
+    # Graham, Math. Mag. 37 (1964).
+    "graham": ((1786772701928802632268715130455793, 1059683225053915111058165141686995), 3000, None),
+    # Knuth, Math. Mag. 63 (1990).
+    "knuth": ((62638280004239857, 49463435743205655), 17280, 8640),
+    # Wilf, Math. Mag. 63 (1990).
+    "wilf": ((20615674205555510, 3794765361567513), 17280, 8640),
+    # Nicol, Electron. J. Combin. 6 (1999).
+    "nicol": ((407389224418, 76343678551), 4320, 2160),
+}
+
+
+@st.composite
+def hintless_inputs(draw):
+    """(params, seed, N) with |a|, |b| <= 30 and N <= 80: random seeds, 0
+    and negative ones among them, or a construction's seeds, as they are,
+    moved by one or scaled by a common factor."""
+    a, b = draw(st.integers(-30, 30)), draw(st.integers(-30, 30))
+    x0, x1 = draw(st.integers(-(10**6), 10**6)), draw(st.integers(-(10**6), 10**6))
+    if b and (abs(a), b) != (2, -1) and draw(st.booleans()):
+        seed = C.construct(a, b).seed
+        k = draw(st.sampled_from((1, 1, 2, 3)))
+        x0, x1 = k * seed.x0, k * seed.x1 + draw(st.sampled_from((0, 0, 1, -1)))
+    return RecurrenceParams(a, b), SeedPair(x0, x1), draw(st.integers(0, 80))
+
+
+class TestDiscoveredRules:
+    @settings(max_examples=300, deadline=None)
+    @given(inp=hintless_inputs())
+    @example(inp=(RecurrenceParams(1, 1), SeedPair(0, 6), 30))
+    @example(inp=(RecurrenceParams(-9, -1), SeedPair(210, 268), 40))
+    @example(inp=(RecurrenceParams(3, -2), SeedPair(-4, 0), 20))
+    def test_discovery_changes_only_the_witnesses_of_the_terms_it_claims(self, inp):
+        # Hintless verify against itself with discovery patched out: the same
+        # verdict, failures and coprimality, no covering_law_ok, and a changed
+        # witness only on a term that a discovered rule claims; every
+        # certificate holds by the oracle.
+        params, seed, n = inp
+        report = verify(params, seed, n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verifier, "discover_rules", lambda xs: ())
+            plain = verify(params, seed, n)
+        assert (report.verdict, report.failures, report.coprime_ok) == (plain.verdict, plain.failures, plain.coprime_ok)
+        assert report.covering_law_ok is plain.covering_law_ok is None
+        rules = discover_rules(terms(params, seed, n))
+        for cert, before in zip(report.certificates, plain.certificates, strict=True):
+            assert (cert.index, cert.term) == (before.index, before.term)
+            if cert.witness != before.witness:
+                assert any(cert.witness == Divisor(d) and cert.index % k == s for d, s, k in rules)
+            assert certificate_holds(cert.term, cert.witness)
+
+    @pytest.mark.parametrize("name", ["knuth", "wilf", "nicol"])
+    def test_published_coverings_claim_every_term(self, monkeypatch, name):
+        (x0, x1), n, period = PUBLISHED_PAIRS[name]
+        params, seed = RecurrenceParams(1, 1), SeedPair(x0, x1)
+        rules = discover_rules(terms(params, seed, n))
+        assert math.lcm(*(rule.step for rule in rules)) == period and len(rules) == 18
+
+        def refuse(*args):
+            raise AssertionError("a term took the per-term path")
+
+        for path in ("screen", "witness_past_screen", "compositeness_witness"):
+            monkeypatch.setattr(verifier, path, refuse)
+        report = verify(params, seed, n)
+        assert report.verdict and report.covering_law_ok is None
+        for cert in report.certificates:
+            d = next(d for d, s, k in rules if cert.index % k == s)
+            assert cert.witness == Divisor(d)
+
+    def test_graham_is_verified_to_its_horizon_only(self):
+        (x0, x1), n, period = PUBLISHED_PAIRS["graham"]
+        params, seed = RecurrenceParams(1, 1), SeedPair(x0, x1)
+        assert period is None and discover_rules(terms(params, seed, n)) == ()
+        report = verify(params, seed, n)
+        assert report.verdict
+        assert sum(isinstance(c.witness, MillerRabinBase) for c in report.certificates) == 4
+
+    def test_improper_discovered_rules_are_dropped(self):
+        # x_n = x_{n-2}: the rules at L = 2 have the whole terms x_0 and 15
+        # as divisors, so both fail the audit, add no failure, and every
+        # term keeps the witness it had without them.
+        params, seed = RecurrenceParams(0, 1), SeedPair(BIG_P * BIG_Q, 15)
+        assert discover_rules(terms(params, seed, 6)) == (Rule(BIG_P * BIG_Q, 0, 2), Rule(15, 1, 2))
+        report = verify(params, seed, 6)
+        assert report.verdict and report.failures == () and report.covering_law_ok is None
+        assert [c.witness for c in report.certificates] == [MillerRabinBase(2), Divisor(3)] * 3 + [MillerRabinBase(2)]
+
+    def test_terms_without_a_covering_take_their_common_factor_with_x_n_minus_2(self):
+        # 1174571 | x_0, so it divides every even term; the odd terms share
+        # no prime at any stride, so no rule is found.  x_40, which no prime
+        # <= SCREEN_BOUND divides, gets |a| before its trial prime 14731.
+        params, seed = RecurrenceParams(1174571, 1), SeedPair(2349142, 341)
+        xs = terms(params, seed, 102)
+        assert discover_rules(xs) == ()
+        assert all(xs[40] % p for p in small_primes(SCREEN_BOUND)) and xs[40] % 14731 == 0
+        report = verify(params, seed, 102)
+        assert report.verdict
+        assert report.certificates[40].witness == Divisor(1174571)
 
 
 class TestRuleAudit:
