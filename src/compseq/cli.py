@@ -64,7 +64,8 @@ def _emit(payload: dict, args) -> None:
 
 def _write(pieces: Iterable[str], args) -> None:
     """Write the pieces and a closing newline to the -o file or to stdout,
-    one piece at a time, so no text the size of the output is built."""
+    one write per piece (a report's pieces are blocks of certificates), so
+    no text the size of the output is built."""
     if args.output:
         with open(args.output, "w") as fh:
             fh.writelines(pieces)

@@ -36,6 +36,11 @@ from .covering import discover_rules, validate_triples
 from .recurrence import RecurrenceParams, SeedPair, decimal_texts, terms
 
 
+# Certificates per piece of VerificationReport.json_pieces, so a report is
+# written in one write per block, not one per certificate.
+CERTIFICATE_BLOCK = 64
+
+
 class OutputTooLarge(ValueError):
     """An integer has more decimal digits than Python's int-to-str limit allows."""
 
@@ -80,19 +85,19 @@ class VerificationReport:
     # The certificates tuple `verify` made, for x_0..x_N of (params, seed).
     _made_by_verify: tuple[CompositenessCertificate, ...] | None = field(default=None, repr=False, compare=False)
 
-    def _term_texts(self) -> list[tuple[str, int]]:
-        """Each certificate's term in decimal with its digit count; see
-        json_pieces."""
+    def _term_texts(self) -> list[str]:
+        """Each certificate's term in decimal; see json_pieces."""
         certs = self.certificates
         if certs is not self._made_by_verify:
-            return [decimal_digits(cert.term) for cert in certs]
+            return [decimal_digits(cert.term)[0] for cert in certs]
+        texts = decimal_texts(self.params, self.seed, len(certs) - 1)
         limit = _int_max_str_digits()
-        texts = []
-        for cert, text in zip(certs, decimal_texts(self.params, self.seed, len(certs) - 1)):
-            digits = len(text) - (cert.term < 0)
-            if limit and digits > limit:
-                raise _too_large(cert.term)
-            texts.append((text, digits))
+        # A text is no shorter than its digit count, so one max clears a report
+        # within the limit; past it, the first term over the limit is named.
+        if limit and max(map(len, texts)) > limit:
+            for cert, text in zip(certs, texts):
+                if len(text) - (cert.term < 0) > limit:
+                    raise _too_large(cert.term)
         return texts
 
     def json_fields(self) -> tuple[dict, dict]:
@@ -121,9 +126,10 @@ class VerificationReport:
 
     def json_pieces(self, pad: str = "") -> Iterator[str]:
         """The report's JSON text in pieces: the keys before "certificates",
-        one piece per certificate, then the rest.  Joined, they are
-        `json.dumps(self.to_dict(), indent=2)` with every line after the first
-        prefixed by pad; terms and seeds are decimal strings.
+        one piece per block of up to CERTIFICATE_BLOCK certificates, then the
+        rest.  Joined, they are `json.dumps(self.to_dict(), indent=2)` with
+        every line after the first prefixed by pad; terms and seeds are
+        decimal strings.
 
         Every term text is made before this returns, so an OutputTooLarge
         comes before the first piece.  When the certificates are the tuple
@@ -135,29 +141,38 @@ class VerificationReport:
         hand-built or edited report, print each term's own text by
         `decimal_digits`.  A term text is only digits and a sign, so each
         certificate is written by one template with pad in it, without
-        escaping; the other keys go through json.dumps.
+        escaping; its text after "term_digits" is made once per witness
+        object.  The other keys go through json.dumps.
         """
         texts = self._term_texts()
         head, tail = self.json_fields()
         nl = "\n" + pad
         head_text = json.dumps(head, indent=2)[:-2].replace("\n", nl)  # without its closing "\n}"
         tail_text = json.dumps(tail, indent=2)[2:].replace("\n", nl)  # without its opening "{\n"
+        certs = self.certificates
+        # A certificate is open_, n, term_at, its term, digits_at, its digit
+        # count, then its witness's text, keyed by id(): certs keeps every
+        # witness alive while the pieces are made.
+        open_ = f'{nl}    {{{nl}      "n": '
+        term_at = f',{nl}      "term": "'
+        digits_at = f'",{nl}      "term_digits": '
 
         def pieces() -> Iterator[str]:
             yield f'{head_text},{nl}  "certificates": ['
-            sep = ""
-            for cert, (term, digits) in zip(self.certificates, texts):
-                yield (
-                    f"{sep}{nl}    {{{nl}"
-                    f'      "n": {cert.index},{nl}'
-                    f'      "term": "{term}",{nl}'
-                    f'      "term_digits": {digits},{nl}'
-                    f'      "witness_kind": "{cert.witness.kind}",{nl}'
-                    f'      "witness_value": {_witness_value(cert.witness)}{nl}'
-                    "    }"
-                )
-                sep = ","
-            yield f"{nl}  ],{nl}{tail_text}" if texts else f"],{nl}{tail_text}"
+            after_digits: dict[int, str] = {}
+            for start in range(0, len(certs), CERTIFICATE_BLOCK):
+                block = []
+                stop = start + CERTIFICATE_BLOCK
+                for (n, term, witness), text in zip(certs[start:stop], texts[start:stop]):
+                    rest = after_digits.get(id(witness))
+                    if rest is None:
+                        rest = after_digits[id(witness)] = (
+                            f',{nl}      "witness_kind": "{witness.kind}",{nl}'
+                            f'      "witness_value": {_witness_value(witness)}{nl}    }}'
+                        )
+                    block.append(f"{open_}{n}{term_at}{text}{digits_at}{len(text) - (term < 0)}{rest}")
+                yield ("," if start else "") + ",".join(block)
+            yield f"{nl}  ],{nl}{tail_text}" if certs else f"],{nl}{tail_text}"
 
         return pieces()
 
@@ -192,12 +207,13 @@ def verify(
     per claimed term that d does not properly divide.  The divisor of the
     first rule that properly divides x_n is its certificate.  Without stated
     rules, the rules covering.discover_rules reads from x_0..x_N take the
-    same two checks; one that fails either is dropped, and they add no
-    failure and no covering_law_ok.  Every other term x_n gets
-    compositeness_witness(x_n, x_{n-2}), with 0 in place of x_{n-2} for
-    n < 2.  The terms with |x_n| >= MR_DETERMINISTIC_BOUND take its two
-    steps apart: one arith.screen call for all of them, then
-    witness_past_screen for each term the screen leaves."""
+    same audit, a failing one term by term too, but they add no failure and
+    no covering_law_ok.
+    Every other term x_n gets compositeness_witness(x_n, x_{n-2}), with 0
+    in place of x_{n-2} for n < 2.  The terms with |x_n| >=
+    MR_DETERMINISTIC_BOUND take its two steps apart: one arith.screen call
+    for all of them, then witness_past_screen for each term the screen
+    leaves."""
     failures: list[str] = []
     coprime_ok = math.gcd(seed.x0, seed.x1) == 1
     if not coprime_ok:
@@ -233,14 +249,12 @@ def verify(
                 if 0 not in column and d not in column and -d not in column:
                     writes.append((ns, witness))
                     continue
-            if not stated:  # a discovered rule that fails is dropped
-                continue
             for n in ns:
                 t = abs(xs[n])
-                if not (1 < d < t and t % d == 0):
-                    failures.append(f"claimed {int_text(d)} is not a proper divisor of x_{n}")
-                else:
+                if 1 < d < t and t % d == 0:
                     writes.append((range(n, n + 1), witness))
+                elif stated:
+                    failures.append(f"claimed {int_text(d)} is not a proper divisor of x_{n}")
         for ns, witness in reversed(writes):
             witnesses[ns.start : ns.stop : ns.step] = [witness] * len(ns)
         if stated:

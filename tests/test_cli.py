@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -27,6 +28,7 @@ from compseq.cli import (
     main,
 )
 from compseq.covering import Rule
+from compseq.verifier import CERTIFICATE_BLOCK
 
 
 def run(capsys, *argv):
@@ -162,10 +164,11 @@ class TestOther:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
 
-    def test_json_report_is_written_one_certificate_at_a_time(self, capsys, monkeypatch):
-        # A count, not a timing: each write to stdout holds at most one
-        # certificate, so none is longer than the longest term text plus the
-        # rest of a certificate; together they are the whole output.
+    def test_json_report_is_written_in_blocks_of_certificates(self, capsys, monkeypatch):
+        # A count, not a timing: each write to stdout holds at most
+        # CERTIFICATE_BLOCK certificates, so none is longer than that many
+        # times the longest term text plus the rest of a certificate;
+        # together they are the whole output.
         argv = ["construct", "-a", "999999999989", "-b", "1", "--json"]
         assert main(argv) == EXIT_PASS
         whole = capsys.readouterr().out
@@ -180,10 +183,11 @@ class TestOther:
         monkeypatch.setattr(sys, "stdout", Recorder())
         assert main(argv) == EXIT_PASS
         assert "".join(writes) == whole
-        assert len(writes) > len(certificates)
+        assert len(writes) > math.ceil(len(certificates) / CERTIFICATE_BLOCK) > 1
+        assert max(write.count('"term_digits": ') for write in writes) == CERTIFICATE_BLOCK
         longest = max(len(c["term"]) for c in certificates)
         assert longest > 2000
-        assert max(map(len, writes)) <= longest + 200
+        assert max(map(len, writes)) <= CERTIFICATE_BLOCK * (longest + 200)
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="Python has no int-to-str digit limit")
     def test_text_mode_converts_no_term_past_the_digit_limit(self, capsys):

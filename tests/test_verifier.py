@@ -24,6 +24,7 @@ from compseq.arith import (
 from compseq.covering import Rule, discover_rules
 from compseq.recurrence import RecurrenceParams, SeedPair, decimal_texts, iter_terms, terms
 from compseq.verifier import (
+    CERTIFICATE_BLOCK,
     CompositenessCertificate,
     OutputTooLarge,
     VerificationReport,
@@ -351,6 +352,42 @@ class TestDiscoveredRules:
         assert report.verdict and report.failures == () and report.covering_law_ok is None
         assert [c.witness for c in report.certificates] == [MillerRabinBase(2), Divisor(3)] * 3 + [MillerRabinBase(2)]
 
+    def test_a_rule_with_an_improper_term_certifies_the_terms_it_properly_divides(self):
+        # x_1 = 6 is the whole divisor of the discovered Rule(6, 1, 3), which
+        # properly divides x_4, x_7, ...  It adds no failure and keeps 6 on
+        # those terms; without it, the even ones (x_4, x_10, ...; Rule(2, 1, 2)
+        # claims the odd ones first) take the screen's 2.
+        params, seed = RecurrenceParams(1, 2), SeedPair(49, 6)
+        rules = discover_rules(terms(params, seed, 200))
+        assert Rule(6, 1, 3) in rules and terms(params, seed, 1)[1] == 6
+        report = verify(params, seed, 200)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verifier, "discover_rules", lambda xs: tuple(r for r in rules if r != Rule(6, 1, 3)))
+            without = verify(params, seed, 200)
+        assert (report.verdict, report.failures) == (without.verdict, without.failures) == (True, ())
+        moved = [c.index for c, w in zip(report.certificates, without.certificates) if c.witness != w.witness]
+        assert moved == list(range(4, 201, 6)) and len(moved) == 33
+        assert {report.certificates[n].witness for n in moved} == {Divisor(6)}
+        assert {without.certificates[n].witness for n in moved} == {Divisor(2)}
+
+    def test_seeds_moved_by_one_can_keep_a_covering(self, monkeypatch):
+        # x0 of construct(-1511, -1) minus 1: these seeds are coprime too, and
+        # the rules read from their terms, with period 3 where the
+        # construction's have period 6, claim every term.
+        params, seed = RecurrenceParams(-1511, -1), SeedPair(37774, 48351)
+        assert C.construct(-1511, -1).seed == SeedPair(37775, 48351)
+        rules = discover_rules(terms(params, seed, 194))
+        assert rules == (Rule(2, 0, 3), Rule(3, 1, 3), Rule(35, 2, 3))
+
+        def refuse(*args):
+            raise AssertionError("a term took the per-term path")
+
+        for path in ("screen", "witness_past_screen", "compositeness_witness"):
+            monkeypatch.setattr(verifier, path, refuse)
+        report = verify(params, seed, 194)
+        assert report.verdict and report.coprime_ok and report.covering_law_ok is None
+        assert [c.witness for c in report.certificates] == [Divisor(rules[n % 3].d) for n in range(195)]
+
     def test_terms_without_a_covering_take_their_common_factor_with_x_n_minus_2(self):
         # 1174571 | x_0, so it divides every even term; the odd terms share
         # no prime at any stride, so no rule is found.  x_40, which no prime
@@ -422,17 +459,19 @@ class CountingInt(int):
 
 def assert_audit_matches_reference(params, seed, n, construction):
     """verify agrees with reference_rule_audit, the audit term by term: the
-    failure texts in order, every certificate, and covering_law_ok."""
+    failure texts in order, every certificate, and covering_law_ok.  Without
+    stated rules, the discovered ones take the same audit but add no failure
+    and claim no index."""
     report = verify(params, seed, n, construction)
     xs = terms(params, seed, n)
     rules = construction.rules if construction is not None else ()
-    rule_failures, divisors, claimed = reference_rule_audit(xs, rules)
+    rule_failures, divisors, claimed = reference_rule_audit(xs, rules or discover_rules(xs))
     failures = []
     if math.gcd(seed.x0, seed.x1) != 1:
         failures.append(f"gcd(x0, x1) = {math.gcd(seed.x0, seed.x1)} != 1")
     failures += ["x0 not positive"] * (seed.x0 <= 0) + ["x1 not positive"] * (seed.x1 <= 0)
-    failures += rule_failures
     if rules:
+        failures += rule_failures
         failures += [f"index {i} not claimed by any rule" for i in range(n + 1) if not claimed[i]]
     certificates = []
     for i, x in enumerate(xs):
@@ -484,6 +523,9 @@ class TestRuleAuditAgainstReference:
         st.booleans(),
         st.lists(st.integers(0, 9), max_size=2),
     )
+    # A Vsemirnov construction states no rules: on these seeds the discovered
+    # Rule(3, 0, 1) claims x_0 = 0 and x_1 = 3, and certifies x_3 = 6 by 3.
+    @example(1, 1, (0, 3), 3, [], False, [])
     def test_verify_matches_the_audit_term_by_term(self, a, b, seeds, n, edits, reverse, duplicates):
         assume((abs(a), b) != (2, -1))
         construction = C.construct(a, b)
@@ -596,11 +638,15 @@ def reference_dict(report):
 def assert_json_matches_dumps(report):
     """to_json writes what json.dumps(indent=2) writes, of to_dict and of
     the field-by-field reference, padded or not; joined, json_pieces is
-    to_json, with one piece per certificate between a head and a tail."""
+    to_json, with one piece per block of CERTIFICATE_BLOCK certificates (the
+    last one may hold fewer) between a head and a tail."""
+    size = len(report.certificates)
+    blocks = [min(CERTIFICATE_BLOCK, size - start) for start in range(0, size, CERTIFICATE_BLOCK)]
     for pad in ("", "  "):
         text = report.to_json(pad)
         pieces = list(report.json_pieces(pad))
-        assert "".join(pieces) == text and len(pieces) == len(report.certificates) + 2
+        assert "".join(pieces) == text and len(pieces) == math.ceil(size / CERTIFICATE_BLOCK) + 2
+        assert [piece.count('"term_digits": ') for piece in pieces[1:-1]] == blocks
         assert text == json.dumps(report.to_dict(), indent=2).replace("\n", "\n" + pad)
         assert text == json.dumps(reference_dict(report), indent=2).replace("\n", "\n" + pad)
 
@@ -619,10 +665,10 @@ class TestReportJson:
         st.integers(-12, 12).filter(bool),
         st.integers(-10**6, 10**6),
         st.integers(-10**6, 10**6),
-        st.integers(0, 60),
+        st.integers(0, 200),
         st.booleans(),
         st.lists(
-            st.tuples(st.integers(0, 60), witnesses, st.none() | st.integers(-10**40, 10**40)),
+            st.tuples(st.integers(0, 200), witnesses, st.none() | st.integers(-10**40, 10**40)),
             max_size=3,
         ),
         st.lists(
@@ -630,6 +676,11 @@ class TestReportJson:
             max_size=3,
         ),
     )
+    # Reports that end at, or one past, the edge of a block of certificates.
+    @example(5, 1, 0, 0, 63, True, [], [])
+    @example(1, 1, 3, 5, 64, False, [(63, Divisor(7), -10**40), (64, MillerRabinBase(2), None)], [])
+    @example(-7, -1, 2, 9, 127, False, [(127, NotComposite(), 0)], ["x"])
+    @example(3, -1, 0, 0, 128, True, [(0, Divisor(2), None), (128, Divisor(2), None)], [])
     def test_to_json_is_json_dumps_of_to_dict(self, a, b, x0, x1, n, constructed, edits, failures):
         params, seed, construction = RecurrenceParams(a, b), SeedPair(x0, x1), None
         if constructed and (abs(a), b) != (2, -1):
@@ -848,6 +899,20 @@ class TestDigitLimit:
                 f"a {past.bit_length()}-bit integer has more than the "
                 f"{limit} decimal digits Python converts to text"
             )
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    def test_the_first_term_past_the_limit_is_named(self):
+        # x_3012..x_3200 of the Vsemirnov pair have more than 640 digits;
+        # the error names the first of them, before any piece is made.
+        saved = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            report = verify(RecurrenceParams(1, 1), SeedPair(106276436867, 35256392432), 3200)
+            first = next(c.term for c in report.certificates if abs(c.term) >= 10**640)
+            assert abs(report.certificates[-1].term).bit_length() > first.bit_length()
+            with pytest.raises(OutputTooLarge, match=f"^a {first.bit_length()}-bit integer "):
+                report.json_pieces()
         finally:
             sys.set_int_max_str_digits(saved)
 
